@@ -9,7 +9,8 @@ policies, and recovers all mitigation mappings realizing each optimum.
 from .impact import assess, impact_level, ntc, objective, observation_weight
 from .mapback import count_rmps, enumerate_rmps
 from .model import ModelError, RiskModel, parse_model, render_model, validate_model
-from .pareto import ParetoFront, SolveConfig, dominates, front, solve, solve_direct_oracle
+from .pareto import (ParetoFront, SolveConfig, dominates, evaluated_points, front,
+                     solve, solve_direct_oracle)
 from .residue import count_raw, count_reduced, iter_points, residue_set, residue_space
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "count_rmps",
     "dominates",
     "enumerate_rmps",
+    "evaluated_points",
     "front",
     "impact_level",
     "iter_points",

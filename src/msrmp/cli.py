@@ -125,13 +125,13 @@ def cmd_assess(args):
     return 0
 
 
-def _solve_config(args, m):
+def _solve_config(args):
     return pareto.SolveConfig(
         mode=args.mode,
         strategy=args.strategy,
         chunk=args.chunk,
         bounds=_parse_bounds(args.min_bound),
-        exclusive_bounds=getattr(args, "exclusive_bounds", False),
+        exclusive_bounds=args.exclusive_bounds,
     )
 
 
@@ -180,7 +180,7 @@ def _front_doc(m, result, args, with_rmps=False, limit=None):
 
 def cmd_solve(args):
     m = _load_model(args.model)
-    cfg = _solve_config(args, m)
+    cfg = _solve_config(args)
     t0 = time.perf_counter()
     result = pareto.solve(m, cfg)
     elapsed = time.perf_counter() - t0
@@ -234,7 +234,7 @@ def cmd_map_back(args):
         _emit(doc, args.out)
         return 0
     # no explicit residue vector: solve first, then map back each optimum
-    cfg = _solve_config(args, m)
+    cfg = _solve_config(args)
     result = pareto.solve(m, cfg)
     docs = []
     for entry in result.entries:
@@ -248,12 +248,12 @@ def cmd_map_back(args):
 
 def cmd_bench(args):
     spec = harness.BenchSpec(
-        threat_counts=tuple(int(t) for t in args.threats.split(",")),
+        threat_counts=args.threats,
         controls_per_threat=args.controls,
         seed=args.seed,
         mode=args.mode,
         strategies=tuple(args.strategies.split(",")),
-        chunk_sizes=tuple(int(d) for d in args.chunks.split(",")),
+        chunk_sizes=args.chunks,
         timeout_secs=args.timeout_secs,
     )
     records = harness.run_bench(spec)
@@ -267,23 +267,15 @@ def cmd_bench(args):
 
 def cmd_plot(args):
     m = _load_model(args.model)
-    cfg = _solve_config(args, m)
+    cfg = _solve_config(args)
     result = pareto.solve(m, cfg)
     optimal = set()
     for entry in result.entries:
         for vec in entry.residues:
             optimal.add(vec)
 
-    space = residue.residue_space(m)
-    ev = pareto._Evaluator(m, args.mode, space)
-    tests, exclusive = ev.bound_tests(cfg.bounds, cfg.exclusive_bounds)
+    rows = [(obj, vec in optimal) for obj, vec in pareto.evaluated_points(m, cfg)]
     sids = m.stakeholder_ids()
-
-    rows = []
-    for key, ordinal in pareto._feasible_keys(ev, space, tests, exclusive, None):
-        obj = ev.objective_of(key)
-        vec = residue.vector_at(space, ordinal)
-        rows.append((obj, vec in optimal))
 
     buf = io.StringIO()
     header = [f"oir_{sid}" for sid in sids] + ["pareto"]
@@ -351,6 +343,31 @@ def _write_svg(path, rows, sids, size=640, margin=60):
         fh.write("\n".join(parts) + "\n")
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _int_list(text):
+    """argparse type: a comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}"
+        ) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="msrmp",
@@ -362,12 +379,12 @@ def build_parser():
     def add_common(p, bounds=True):
         p.add_argument("model", help="risk-model JSON document")
         p.add_argument("--mode", choices=impact.MODES, default="goals")
-        p.add_argument("--precision", type=int, default=4)
+        p.add_argument("--precision", type=_int_at_least(0), default=4)
         p.add_argument("--out", default=None)
         if bounds:
             p.add_argument("--strategy", choices=pareto.STRATEGIES,
                            default="upfront")
-            p.add_argument("--chunk", type=int, default=4096)
+            p.add_argument("--chunk", type=_int_at_least(1), default=4096)
             p.add_argument("--min-bound", action="append", metavar="S=V",
                            help="risk-appetite lower bound, repeatable")
             p.add_argument("--exclusive-bounds", action="store_true",
@@ -384,7 +401,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="search-space counts")
     p.add_argument("model")
-    p.add_argument("--precision", type=int, default=4)
+    p.add_argument("--precision", type=_int_at_least(0), default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count)
 
@@ -404,13 +421,14 @@ def build_parser():
     p.set_defaults(func=cmd_map_back)
 
     p = sub.add_parser("bench", help="synthetic benchmark sweep")
-    p.add_argument("--threats", default="5,6", help="comma list of |T|")
+    p.add_argument("--threats", type=_int_list, default="5,6",
+                   help="comma list of |T|")
     p.add_argument("--controls", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=impact.MODES, default="goals")
     p.add_argument("--strategies",
                    default="upfront,chunk-collect,chunk-carry")
-    p.add_argument("--chunks", default="4096")
+    p.add_argument("--chunks", type=_int_list, default="4096")
     p.add_argument("--timeout-secs", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -169,7 +169,7 @@ def _peak_mem_mb():
     return rss_kb / 1024.0
 
 
-def run_bench(spec: BenchSpec, sink=None):
+def run_bench(spec: BenchSpec):
     """One record per (instance, strategy, chunk size) cell.  A cell hitting
     the timeout is recorded with timed_out=1, not raised."""
     records = []
@@ -209,8 +209,6 @@ def run_bench(spec: BenchSpec, sink=None):
                     timed_out=timed_out,
                 )
                 records.append(rec)
-                if sink is not None:
-                    sink(rec)
     return records
 
 

@@ -88,74 +88,93 @@ def ntc(m: RiskModel, x) -> dict:
     return {t: ows[t] * xv[t] / denom for t in xv}
 
 
-def objective_criteria(m: RiskModel, x) -> tuple:
-    """Linear objective: per stakeholder, sum of impact level * residue.
+def _require_goals(m: RiskModel):
+    bad = [t.id for t in m.threats if not t.goals]
+    if bad:
+        raise ValueError(f"threats {bad} affect no goal; goal-weighted mode undefined")
 
-    No 1/|T| prefactor: the Pareto set is invariant under positive constant
-    factors and the worked arithmetic of the source tables carries none.
-    """
-    xv = _residue_vector(m, x)
+
+def _fold(m: RiskModel, mode):
+    """Per-model constants folded once into exact coefficients (num, den):
+    objective_s(x) = sum_T num[s][T] x_T / sum_T den[T] x_T, with den None
+    (denominator 1) in criteria mode.  Criteria mode has no 1/|T| prefactor:
+    the Pareto set is invariant under positive constant factors and the worked
+    arithmetic of the source tables carries none."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     profile = impact_profile(m)
-    return tuple(
-        sum((profile[s.id][t] * xv[t] for t in xv), Fraction(0))
+    tids = m.threat_ids()
+    if mode == "criteria":
+        return [[profile[s.id][t] for t in tids] for s in m.stakeholders], None
+    _require_goals(m)
+    ows = [observation_weight(m, t) for t in tids]
+    spreads = [goal_spread(m, t) for t in tids]
+    num = [
+        [ow * g * profile[s.id][t] for t, ow, g in zip(tids, ows, spreads)]
         for s in m.stakeholders
-    )
+    ]
+    return num, ows
 
 
-def objective_goals(m: RiskModel, x) -> tuple:
-    """Goal-weighted objective: per stakeholder, sum over goals of the average
-    NTC-weighted impact of the threats affecting that goal.  Goals affected by
-    no threat are skipped; a threat affecting no goal is an error."""
-    bad = [t.id for t in m.threats if not t.goals]
-    if bad:
-        raise ValueError(f"threats {bad} affect no goal; goal-weighted mode undefined")
-    xv = _residue_vector(m, x)
-    crit = ntc(m, xv)
-    profile = impact_profile(m)
-    counts = goal_threat_counts(m)
-    out = []
-    for s in m.stakeholders:
-        total = Fraction(0)
-        for g in m.goals:
-            if counts[g.id] == 0:
-                continue
-            inner = sum(
-                (crit[t.id] * profile[s.id][t.id]
-                 for t in m.threats if g.id in t.goals),
-                Fraction(0),
-            )
-            total += inner / counts[g.id]
-        out.append(total)
-    return tuple(out)
-
-
-def objective_goals_ratio(m: RiskModel, x) -> tuple:
-    """Algebraically equivalent ratio form of objective_goals:
-    (sum_T OW*g*i_s*x) / (sum_T OW*x).  Kept as an independent route and
-    property-tested against the direct double sum."""
-    bad = [t.id for t in m.threats if not t.goals]
-    if bad:
-        raise ValueError(f"threats {bad} affect no goal; goal-weighted mode undefined")
-    xv = _residue_vector(m, x)
-    profile = impact_profile(m)
-    ows = {t.id: observation_weight(m, t.id) for t in m.threats}
-    spreads = {t.id: goal_spread(m, t.id) for t in m.threats}
-    denom = sum((ows[t] * xv[t] for t in xv), Fraction(0))
-    if denom == 0:
+def _evaluate(fold, xs) -> tuple:
+    """Objective at residues xs (threat order) over a fold from _fold."""
+    num, den = fold
+    d = 1 if den is None else sum((c * x for c, x in zip(den, xs)), Fraction(0))
+    if d == 0:
         raise ValueError("normalization denominator is zero for this residue vector")
     return tuple(
-        sum((ows[t] * spreads[t] * profile[s.id][t] * xv[t] for t in xv), Fraction(0))
-        / denom
-        for s in m.stakeholders
+        sum((c * x for c, x in zip(row, xs)), Fraction(0)) / d for row in num
     )
 
 
 def objective(m: RiskModel, x, mode="goals") -> tuple:
-    if mode == "criteria":
-        return objective_criteria(m, x)
-    if mode == "goals":
-        return objective_goals_ratio(m, x)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return _evaluate(_fold(m, mode), _residue_vector(m, x).values())
+
+
+def objective_criteria(m: RiskModel, x) -> tuple:
+    """Linear objective: per stakeholder, sum of impact level * residue."""
+    return objective(m, x, "criteria")
+
+
+def objective_goals_ratio(m: RiskModel, x) -> tuple:
+    """Ratio form of the goal-weighted objective:
+    (sum_T OW*g*i_s*x) / (sum_T OW*x).  Property-tested against the direct
+    double sum of objective_goals."""
+    return objective(m, x, "goals")
+
+
+def _goal_sum(m: RiskModel, xv) -> tuple:
+    """Direct double sum at residues xv: (NTC, averages, objectives), where
+    averages[goal][stakeholder] is the mean NTC-weighted impact of the threats
+    affecting the goal (goals no threat affects are skipped)."""
+    crit = ntc(m, xv)
+    profile = impact_profile(m)
+    counts = goal_threat_counts(m)
+    averages = {
+        g.id: {
+            s.id: sum(
+                (crit[t.id] * profile[s.id][t.id]
+                 for t in m.threats if g.id in t.goals),
+                Fraction(0),
+            ) / counts[g.id]
+            for s in m.stakeholders
+        }
+        for g in m.goals
+        if counts[g.id]
+    }
+    objectives = tuple(
+        sum((per_s[s.id] for per_s in averages.values()), Fraction(0))
+        for s in m.stakeholders
+    )
+    return crit, averages, objectives
+
+
+def objective_goals(m: RiskModel, x) -> tuple:
+    """Goal-weighted objective as the direct double sum, kept independent of
+    _fold as the reference for the ratio form.  A threat affecting no goal is
+    an error."""
+    _require_goals(m)
+    return _goal_sum(m, _residue_vector(m, x))[2]
 
 
 @dataclass(frozen=True)
@@ -186,28 +205,9 @@ def assess(m: RiskModel, assignment=None, mode="goals") -> AssessmentReport:
             raise ValueError(f"assignment missing threat {t.id!r}")
         residues[t.id] = residue_of_assignment(m, t.id, per_ctrl)
 
-    crit = None
-    goal_avgs = None
+    crit = goal_avgs = None
     if mode == "goals":
-        crit = ntc(m, residues)
-        profile = impact_profile(m)
-        counts = goal_threat_counts(m)
-        goal_avgs = {}
-        for g in m.goals:
-            if counts[g.id] == 0:
-                continue
-            goal_avgs[g.id] = {
-                s.id: sum(
-                    (crit[t.id] * profile[s.id][t.id]
-                     for t in m.threats if g.id in t.goals),
-                    Fraction(0),
-                ) / counts[g.id]
-                for s in m.stakeholders
-            }
-        objectives = tuple(
-            sum((goal_avgs[g][s.id] for g in goal_avgs), Fraction(0))
-            for s in m.stakeholders
-        )
+        crit, goal_avgs, objectives = _goal_sum(m, residues)
     else:
         objectives = objective_criteria(m, residues)
 

@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-Rational = Fraction
-
 DEFAULT_GOALS = [
     ("G1", "Confidentiality"),
     ("G2", "Integrity"),
@@ -24,6 +22,12 @@ DEFAULT_GOALS = [
 
 DEFAULT_MITIGATION_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 DEFAULT_IMPACT_SCALE_MAX = 4
+
+# Longest number string and largest decimal exponent a document may use.
+# Exact values are rendered in full, so "1e-1000000" would otherwise become a
+# million-digit denominator.
+MAX_NUMBER_CHARS = 64
+MAX_NUMBER_EXPONENT = 64
 
 
 class ModelError(ValueError):
@@ -53,6 +57,15 @@ def rat(value, where="value"):
             f"{where}: floats are not accepted; write the value as a string"
         )
     if isinstance(value, str):
+        if len(value) > MAX_NUMBER_CHARS:
+            raise ModelError(f"{where}: number longer than {MAX_NUMBER_CHARS} characters")
+        try:
+            exponent = int(value.lower().partition("e")[2] or 0)
+        except ValueError:
+            exponent = 0  # no decimal exponent; Fraction judges the string
+        if abs(exponent) > MAX_NUMBER_EXPONENT:
+            raise ModelError(f"{where}: exponent of {value!r} outside "
+                             f"[-{MAX_NUMBER_EXPONENT}, {MAX_NUMBER_EXPONENT}]")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -176,8 +189,33 @@ class RiskModel:
         raise KeyError(f"unknown threat {tid!r}")
 
 
-def _freeze_aversion(raw):
-    return {s: {p: dict(ts) for p, ts in ps.items()} for s, ps in raw.items()}
+def _entries(value, path, errors):
+    """The items of a document list; anything else is diagnosed and read as
+    empty."""
+    if isinstance(value, list):
+        return value
+    errors.append(f"{path}: expected a list")
+    return []
+
+
+def _objects(value, path, errors):
+    """(index, object) for each object in a document list; any other entry is
+    diagnosed and skipped."""
+    out = []
+    for i, item in enumerate(_entries(value, path, errors)):
+        if isinstance(item, dict):
+            out.append((i, item))
+        else:
+            errors.append(f"{path}[{i}]: expected an object")
+    return out
+
+
+def _mapping(value, path, errors):
+    """A document object; anything else is diagnosed and read as empty."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{path}: expected an object")
+    return {}
 
 
 def parse_model(document) -> RiskModel:
@@ -188,13 +226,18 @@ def parse_model(document) -> RiskModel:
     if hasattr(document, "read"):
         document = document.read()
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"document: not valid UTF-8 at byte {exc.start}") from None
     if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ModelError(f"syntax error at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
+        except RecursionError:
+            raise ModelError("document: nested too deeply") from None
     if not isinstance(document, dict):
         raise ModelError("document root must be an object")
 
@@ -213,7 +256,7 @@ def parse_model(document) -> RiskModel:
         levels = DEFAULT_MITIGATION_LEVELS
     else:
         levels = []
-        for i, lv in enumerate(raw_levels):
+        for i, lv in enumerate(_entries(raw_levels, "mitigation_levels", errors)):
             try:
                 levels.append(rat(lv, f"mitigation_levels[{i}]"))
             except ModelError as exc:
@@ -226,20 +269,20 @@ def parse_model(document) -> RiskModel:
     else:
         goals = tuple(
             Goal(str(g.get("id", "")), str(g.get("name", g.get("id", ""))))
-            for g in goals_doc
+            for _, g in _objects(goals_doc, "goals", errors)
         )
     goal_ids = [g.id for g in goals]
     if len(set(goal_ids)) != len(goal_ids):
         bad("goals: duplicate goal id")
 
     stakeholders = []
-    for si, s in enumerate(document.get("stakeholders", [])):
+    for si, s in _objects(document.get("stakeholders", []), "stakeholders", errors):
         path = f"stakeholders[{si}]"
         sid = str(s.get("id", ""))
         if not sid:
             bad(f"{path}.id: missing")
         criteria = []
-        for ci, c in enumerate(s.get("criteria", [])):
+        for ci, c in _objects(s.get("criteria", []), f"{path}.criteria", errors):
             cpath = f"{path}.criteria[{ci}]"
             cid = str(c.get("id", ""))
             if not cid:
@@ -254,32 +297,41 @@ def parse_model(document) -> RiskModel:
     stakeholders = tuple(stakeholders)
 
     threats = []
-    for ti, t in enumerate(document.get("threats", [])):
+    for ti, t in _objects(document.get("threats", []), "threats", errors):
         path = f"threats[{ti}]"
         tid = str(t.get("id", ""))
         if not tid:
             bad(f"{path}.id: missing")
         controls = tuple(
             Control(str(c.get("id", "")), str(c.get("name", c.get("id", ""))))
-            for c in t.get("controls", [])
+            for _, c in _objects(t.get("controls", []), f"{path}.controls", errors)
         )
-        tgoals = tuple(str(g) for g in t.get("goals", []))
+        tgoals = tuple(
+            str(g) for g in _entries(t.get("goals", []), f"{path}.goals", errors)
+        )
         threats.append(Threat(tid, str(t.get("name", tid)), tgoals, controls))
     threats = tuple(threats)
 
     aversion = {}
-    for sid, per_crit in document.get("aversion", {}).items():
+    for sid, per_crit in _mapping(document.get("aversion", {}), "aversion",
+                                  errors).items():
         aversion[str(sid)] = {
-            str(cid): {str(tid): v for tid, v in per_threat.items()}
-            for cid, per_threat in per_crit.items()
+            str(cid): {
+                str(tid): v
+                for tid, v in _mapping(per_threat, f"aversion.{sid}.{cid}",
+                                       errors).items()
+            }
+            for cid, per_threat in _mapping(per_crit, f"aversion.{sid}",
+                                            errors).items()
         }
 
     assignment = None
     if "assignment" in document:
         assignment = {}
-        for tid, per_ctrl in document["assignment"].items():
+        for tid, per_ctrl in _mapping(document["assignment"], "assignment",
+                                      errors).items():
             assignment[str(tid)] = {}
-            for cid, lv in per_ctrl.items():
+            for cid, lv in _mapping(per_ctrl, f"assignment.{tid}", errors).items():
                 try:
                     assignment[str(tid)][str(cid)] = rat(
                         lv, f"assignment.{tid}.{cid}"

@@ -1,6 +1,5 @@
-"""Dominance, non-dominated front extraction, the three solving strategies
-(upfront, chunk-collect, chunk-carry), and the risk-appetite constrained
-variant.
+"""Dominance, non-dominated front extraction by one culling pass, and the
+risk-appetite constrained variant.
 
 Internally a feasible point is carried as an integer pair (nums, den) with
 objective component s equal to nums[s] / den and den > 0; the scaling is
@@ -23,6 +22,9 @@ from .residue import count_raw, residue_space, vector_at
 
 STRATEGIES = ("upfront", "chunk-collect", "chunk-carry")
 
+# solve_direct_oracle refuses raw policy spaces larger than this
+ORACLE_CAP = 10**6
+
 
 class SolveTimeout(Exception):
     """Raised when a solve exceeds its deadline (used by the bench harness)."""
@@ -36,7 +38,6 @@ class SolveConfig:
     # lower bounds on the objective per stakeholder id (risk appetite)
     bounds: dict = field(default_factory=dict)
     exclusive_bounds: bool = False
-    oracle_cap: int = 10**6
     deadline: float | None = None  # time.monotonic() value
 
     def __post_init__(self):
@@ -124,60 +125,44 @@ def _add_point(front, key, payload):
 
 
 def _cull(points):
-    """Simple cull: one pass over (key, payloads) pairs in arrival order."""
+    """The one culling pass: insert (key, payloads) pairs in arrival order."""
     front = []
     for key, payload in points:
         _add_point(front, key, payload)
     return front
 
 
+def _ratio_key(objective):
+    """(nums, den) key of an exact objective point over a common denominator."""
+    obj = [Fraction(v) for v in objective]
+    den = lcm(*(v.denominator for v in obj))
+    return tuple(v.numerator * (den // v.denominator) for v in obj), den
+
+
 def front(points) -> ParetoFront:
     """Exact non-dominated set of a finite stream of
     (objective_point, residue_vector) pairs; equal points merge."""
-    culled = _cull(
-        ((tuple(Fraction(v) for v in obj), 1), [tuple(res)]) for obj, res in points
-    )
-    entries = [
-        FrontEntry(objective=key[0], residues=tuple(dict.fromkeys(payload)))
-        for key, payload in culled
-    ]
-    entries.sort(key=lambda e: e.objective)
-    return ParetoFront(tuple(entries))
+    culled = _cull((_ratio_key(obj), [tuple(res)]) for obj, res in points)
+    return _assemble(culled, tuple)
 
 
 class _Evaluator:
-    """Integer-scaled objective evaluation over residue-space digits."""
+    """The objective fold of impact._fold scaled to integers, evaluated over
+    residue-space digits."""
 
     def __init__(self, m: RiskModel, mode, space):
         self.model = m
-        self.mode = mode
-        self.space = space
         # scale all residues to a common integer grid
         dens = [x.denominator for rs in space.sets for x in rs.residues]
         scale = lcm(*dens) if dens else 1
         self.xs = [
             [int(x * scale) for x in rs.residues] for rs in space.sets
         ]
-        profile = impact.impact_profile(m)
-        tids = m.threat_ids()
-        sids = m.stakeholder_ids()
-        if mode == "criteria":
-            coeffs = [[profile[s][t] for t in tids] for s in sids]
-            k = lcm(*(c.denominator for row in coeffs for c in row))
-            self.coef = [[int(c * k) for c in row] for row in coeffs]
-            self.cden = None
-            self.d0 = k * scale
-        else:
-            ows = {t: impact.observation_weight(m, t) for t in tids}
-            spreads = {t: impact.goal_spread(m, t) for t in tids}
-            num = [[ows[t] * spreads[t] * profile[s][t] for t in tids] for s in sids]
-            den = [ows[t] for t in tids]
-            k1 = lcm(*(b.denominator for row in num for b in row))
-            k2 = lcm(*(c.denominator for c in den))
-            # fold constants so that the objective is exactly nums/den
-            self.coef = [[int(b * k1) * k2 for b in row] for row in num]
-            self.cden = [int(c * k2) * k1 for c in den]
-            self.d0 = None
+        num, den = impact._fold(m, mode)
+        k = lcm(*(c.denominator for c in itertools.chain(*num, den or ())))
+        self.coef = [[int(c * k) for c in row] for row in num]
+        self.cden = None if den is None else [int(c * k) for c in den]
+        self.d0 = k * scale
 
     def key_at(self, digits):
         xs = self.xs
@@ -189,11 +174,7 @@ class _Evaluator:
         nums = tuple(sum(a * v for a, v in zip(row, x)) for row in self.coef)
         return nums, den
 
-    def objective_of(self, key):
-        nums, den = key
-        return tuple(Fraction(n, den) for n in nums)
-
-    def bound_tests(self, bounds, exclusive):
+    def bound_tests(self, bounds):
         """Compile bounds into (stakeholder index, p, q) integer tests:
         keep the point iff nums[i] * q >= p * den (or > when exclusive)."""
         sids = self.model.stakeholder_ids()
@@ -203,7 +184,7 @@ class _Evaluator:
                 raise KeyError(f"unknown stakeholder {sid!r} in bounds")
             lb = Fraction(lb)
             tests.append((sids.index(sid), lb.numerator, lb.denominator))
-        return tests, exclusive
+        return tests
 
 
 def _feasible_keys(ev, space, tests, exclusive, deadline, check_every=8192):
@@ -241,64 +222,50 @@ def _feasible_keys(ev, space, tests, exclusive, deadline, check_every=8192):
             digits[i] = 0
 
 
-def _assemble(m, space, culled, cfg) -> ParetoFront:
-    ev_entries = []
-    for key, ordinals in culled:
-        nums, den = key
-        objective = tuple(Fraction(n, den) for n in nums)
-        seen = dict.fromkeys(ordinals)  # dedup, keep arrival order
-        residues = tuple(vector_at(space, o) for o in seen)
-        ev_entries.append(FrontEntry(objective=objective, residues=residues))
-    ev_entries.sort(key=lambda e: e.objective)
-    return ParetoFront(tuple(ev_entries))
+def _assemble(culled, witness) -> ParetoFront:
+    """Public front of culled (key, payloads) pairs, sorted by objective;
+    witness maps a payload to its residue vector.  Repeated payloads
+    collapse, keeping arrival order."""
+    entries = [
+        FrontEntry(
+            objective=tuple(Fraction(n, den) for n in nums),
+            residues=tuple(witness(p) for p in dict.fromkeys(payloads)),
+        )
+        for (nums, den), payloads in culled
+    ]
+    entries.sort(key=lambda e: e.objective)
+    return ParetoFront(tuple(entries))
+
+
+def _feasible(m: RiskModel, cfg: SolveConfig):
+    """The residue space and its stream of feasible (key, ordinal) pairs."""
+    space = residue_space(m)
+    ev = _Evaluator(m, cfg.mode, space)
+    tests = ev.bound_tests(cfg.bounds)
+    return space, _feasible_keys(ev, space, tests, cfg.exclusive_bounds,
+                                 cfg.deadline)
+
+
+def evaluated_points(m: RiskModel, cfg: SolveConfig = SolveConfig()):
+    """Yield (objective, residue vector) for every point of the residue space
+    that meets the risk-appetite bounds, in enumeration order."""
+    space, stream = _feasible(m, cfg)
+    for (nums, den), ordinal in stream:
+        yield tuple(Fraction(n, den) for n in nums), vector_at(space, ordinal)
 
 
 def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     """Pareto front of the reduced problem over the residue space, after
-    risk-appetite filtering.  All three strategies return identical fronts;
-    an empty feasible set yields an empty front, not an exception."""
-    if cfg.mode == "goals":
-        bad = [t.id for t in m.threats if not t.goals]
-        if bad:
-            raise ValueError(
-                f"threats {bad} affect no goal; goal-weighted mode undefined"
-            )
-    space = residue_space(m)
-    ev = _Evaluator(m, cfg.mode, space)
-    tests, exclusive = ev.bound_tests(cfg.bounds, cfg.exclusive_bounds)
-    stream = _feasible_keys(ev, space, tests, exclusive, cfg.deadline)
+    risk-appetite filtering.  An empty feasible set yields an empty front, not
+    an exception.
 
-    if cfg.strategy == "upfront":
-        # materialize the feasible set, then one culling pass
-        culled = _cull((key, [o]) for key, o in stream)
-    elif cfg.strategy == "chunk-collect":
-        collected = []
-        for chunk in _chunks(stream, cfg.chunk):
-            local = []
-            for key, o in chunk:
-                _add_point(local, key, [o])
-            collected.extend(local)
-        culled = _cull(collected)
-    else:  # chunk-carry
-        carry = []
-        for chunk in _chunks(stream, cfg.chunk):
-            nxt = []
-            for key, payload in carry:
-                _add_point(nxt, key, payload)
-            for key, o in chunk:
-                _add_point(nxt, key, [o])
-            carry = nxt
-        culled = carry
-
-    return _assemble(m, space, culled, cfg)
-
-
-def _chunks(stream, size):
-    while True:
-        chunk = list(itertools.islice(stream, size))
-        if not chunk:
-            return
-        yield chunk
+    Every strategy streams the space through the one culling pass, so
+    cfg.strategy and cfg.chunk are accepted but select nothing: a front
+    carried across windows is the front so far, and culling each window first
+    ends in the same front with the same witnesses in the same order."""
+    space, stream = _feasible(m, cfg)
+    culled = _cull((key, [o]) for key, o in stream)
+    return _assemble(culled, lambda o: vector_at(space, o))
 
 
 def solve_direct_oracle(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
@@ -306,10 +273,8 @@ def solve_direct_oracle(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> Paret
     all-max assignment per threat).  Test-scale oracle for solve(): the
     objective-point sets must coincide."""
     raw = count_raw(m)
-    if raw > cfg.oracle_cap:
-        raise ValueError(
-            f"raw search space {raw} exceeds the oracle cap {cfg.oracle_cap}"
-        )
+    if raw > ORACLE_CAP:
+        raise ValueError(f"raw search space {raw} exceeds the oracle cap {ORACLE_CAP}")
     levels = m.scale.levels
     top = max(levels)
     per_threat = []
@@ -325,19 +290,16 @@ def solve_direct_oracle(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> Paret
             residues.append(1 - sum(combo, Fraction(0)) / n)
         per_threat.append(residues)
 
-    bounds = {k: Fraction(v) for k, v in cfg.bounds.items()}
+    # Fraction arithmetic over the fold, independent of the integer kernel
+    fold = impact._fold(m, cfg.mode)
     sids = m.stakeholder_ids()
+    bounds = [(sids.index(sid), Fraction(lb)) for sid, lb in cfg.bounds.items()]
 
     def points():
         for xvec in itertools.product(*per_threat):
-            obj = impact.objective(m, xvec, cfg.mode)
-            ok = True
-            for sid, lb in bounds.items():
-                v = obj[sids.index(sid)]
-                if (v <= lb) if cfg.exclusive_bounds else (v < lb):
-                    ok = False
-                    break
-            if ok:
+            obj = impact._evaluate(fold, xvec)
+            if all(obj[i] > lb if cfg.exclusive_bounds else obj[i] >= lb
+                   for i, lb in bounds):
                 yield obj, xvec
 
     return front(points())

@@ -41,6 +41,19 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["assess", str(RUNNING), "--precision", "-1"],
+    ["count", str(RUNNING), "--precision", "x"],
+    ["solve", str(SMALL), "--chunk", "0"],
+    ["bench", "--threats", "2,x"],
+    ["bench", "--chunks", "2,x"],
+])
+def test_bad_option_values_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_count_document(capsys):
     code, out, err = run(capsys, "count", str(RUNNING))
     assert code == 0

@@ -3,10 +3,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msrmp import ModelError, parse_model, render_model, validate_model
+from msrmp.cli import main
 from msrmp.model import decimal_str, exact_str, rat, with_assignment
 
 from .conftest import RUNNING, SMALL
@@ -197,3 +198,57 @@ def test_mitigation_scale_invariants():
     doc["mitigation_levels"] = ["0", "1", "0.5"]
     with pytest.raises(ModelError, match="strictly increasing"):
         parse_model(doc)
+
+
+@pytest.mark.parametrize("document, diagnostic", [
+    ('{"stakeholders": [1]}', "stakeholders[0]: expected an object"),
+    ('{"stakeholders": "s1"}', "stakeholders: expected a list"),
+    ('{"stakeholders": [{"id": "s1", "criteria": {}}]}',
+     "stakeholders[0].criteria: expected a list"),
+    ('{"goals": [1]}', "goals[0]: expected an object"),
+    ('{"threats": ["x"]}', "threats[0]: expected an object"),
+    ('{"threats": [{"id": "T1", "controls": 5}]}', "threats[0].controls: expected a list"),
+    ('{"threats": [{"id": "T1", "goals": 5}]}', "threats[0].goals: expected a list"),
+    ('{"aversion": []}', "aversion: expected an object"),
+    ('{"aversion": {"s1": {"p1": 3}}}', "aversion.s1.p1: expected an object"),
+    ('{"assignment": 3}', "assignment: expected an object"),
+    ('{"assignment": {"T1": [1]}}', "assignment.T1: expected an object"),
+    ('{"mitigation_levels": 5}', "mitigation_levels: expected a list"),
+    (b'{"threats": "\xff"}', "document: not valid UTF-8"),
+    ("[" * 100_000 + "]" * 100_000, "document: nested too deeply"),
+    ('{"stakeholders": [{"id": "s1", "criteria": [{"id": "p1", '
+     '"weight": "1e-20000"}]}]}', "stakeholders[0].criteria[0].weight: exponent"),
+    ('{"mitigation_levels": ["0", "1e-1000000"]}', "mitigation_levels[1]: exponent"),
+    ('{"mitigation_levels": ["0.' + "0" * 5000 + '1"]}',
+     "mitigation_levels[0]: number longer than"),
+])
+def test_malformed_structure_is_a_model_error(document, diagnostic):
+    with pytest.raises(ModelError) as exc:
+        parse_model(document)
+    assert any(d.startswith(diagnostic) for d in exc.value.diagnostics)
+
+
+_FIELDS = ["id", "name", "weight", "criteria", "goals", "controls",
+           "stakeholders", "threats", "aversion", "assignment",
+           "mitigation_levels", "impact_scale_max"]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), inner,
+                      max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_json_value_parses_or_is_a_model_error(tmp_path, document):
+    try:
+        parse_model(document)
+    except ModelError:
+        pass
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert main(["validate", str(path)]) in (0, 1)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrmp import SolveConfig, dominates, front, solve, solve_direct_oracle
+from msrmp import (
+    SolveConfig,
+    dominates,
+    evaluated_points,
+    front,
+    objective,
+    solve,
+    solve_direct_oracle,
+)
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.pareto import SolveTimeout
 from msrmp.residue import count_raw, count_reduced
@@ -203,3 +211,24 @@ def test_front_size_bounded_by_space(small_model):
     result = solve(small_model, SolveConfig(mode="criteria"))
     total_vectors = sum(len(e.residues) for e in result.entries)
     assert total_vectors <= count_reduced(small_model)
+
+
+@pytest.mark.parametrize("mode", ["criteria", "goals"])
+def test_evaluated_points_cover_the_space(small_model, mode):
+    points = list(evaluated_points(small_model, SolveConfig(mode=mode)))
+    assert len(points) == count_reduced(small_model)
+    assert len({vec for _, vec in points}) == len(points)
+    for obj, vec in points:
+        assert obj == objective(small_model, vec, mode)
+
+
+@pytest.mark.parametrize("mode", ["criteria", "goals"])
+@pytest.mark.parametrize("exclusive", [False, True])
+def test_evaluated_points_respect_bounds(small_model, mode, exclusive):
+    everything = list(evaluated_points(small_model, SolveConfig(mode=mode)))
+    lb = sorted(obj[0] for obj, _ in everything)[len(everything) // 2]
+    cfg = SolveConfig(mode=mode, bounds={"s1": lb}, exclusive_bounds=exclusive)
+    kept = [(obj, vec) for obj, vec in everything
+            if (obj[0] > lb if exclusive else obj[0] >= lb)]
+    assert 0 < len(kept) < len(everything)
+    assert list(evaluated_points(small_model, cfg)) == kept
