@@ -247,7 +247,7 @@ def parse_model(document) -> RiskModel:
         errors.append(msg)
 
     il_max = document.get("impact_scale_max", DEFAULT_IMPACT_SCALE_MAX)
-    if not isinstance(il_max, int) or il_max < 1:
+    if not isinstance(il_max, int) or isinstance(il_max, bool) or il_max < 1:
         bad("impact_scale_max: must be an integer >= 1")
         il_max = DEFAULT_IMPACT_SCALE_MAX
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from . import impact
 from .model import RiskModel
@@ -109,19 +110,47 @@ def _compare_keys(p, q):
 
 
 def _add_point(front, key, payload):
-    """Insert one point into a mutable front (list of [key, payloads]).
+    """Insert one point into a mutable front (list of [key, payloads]) kept
+    sorted by the first objective.
 
     payload is a list of opaque achieving witnesses (ordinals or residue
-    vectors); equal points merge payloads in arrival order."""
-    for entry in front:
+    vectors); equal points merge payloads in arrival order.  Dominators and
+    equals can only sit where r0 <= the point's r0, searched nearest first;
+    dominated entries only where r0 >= it.  With one or two objectives the
+    front's r0 are distinct and the later objective falls as r0 rises, so the
+    nearest entry decides alone and the dominated entries are one run."""
+    nums, den = key
+    n0 = nums[0]
+    size = len(front)
+    lo, hi = 0, size
+    while lo < hi:  # first entry whose r0 >= the point's r0
+        mid = (lo + hi) // 2
+        e = front[mid][0]
+        if e[0][0] * den < n0 * e[1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    while hi < size and front[hi][0][0][0] * den == n0 * front[hi][0][1]:
+        hi += 1
+    planar = len(nums) <= 2
+    for i in range(hi - 1, -1, -1):
+        entry = front[i]
         cmp = _compare_keys(entry[0], key)
         if cmp == _EQ:
             entry[1].extend(payload)
             return
         if cmp == _DOM:
             return
-    front[:] = [e for e in front if _compare_keys(key, e[0]) != _DOM]
-    front.append([key, list(payload)])
+        if planar:
+            break
+    if planar:
+        end = lo
+        while end < size and _compare_keys(key, front[end][0]) == _DOM:
+            end += 1
+        front[lo:end] = [[key, list(payload)]]
+    else:
+        front[lo:] = [[key, list(payload)]] + [
+            e for e in front[lo:] if _compare_keys(key, e[0]) != _DOM]
 
 
 def _cull(points):
@@ -147,32 +176,25 @@ def front(points) -> ParetoFront:
 
 
 class _Evaluator:
-    """The objective fold of impact._fold scaled to integers, evaluated over
-    residue-space digits."""
+    """The objective fold of impact._fold scaled to integers and tabulated
+    per threat: tables[i][d] is the (nums, den) contribution of digit d of
+    threat i, and base the denominator of criteria mode (0 in goals mode)."""
 
     def __init__(self, m: RiskModel, mode, space):
         self.model = m
         # scale all residues to a common integer grid
         dens = [x.denominator for rs in space.sets for x in rs.residues]
         scale = lcm(*dens) if dens else 1
-        self.xs = [
-            [int(x * scale) for x in rs.residues] for rs in space.sets
-        ]
         num, den = impact._fold(m, mode)
         k = lcm(*(c.denominator for c in itertools.chain(*num, den or ())))
-        self.coef = [[int(c * k) for c in row] for row in num]
-        self.cden = None if den is None else [int(c * k) for c in den]
-        self.d0 = k * scale
-
-    def key_at(self, digits):
-        xs = self.xs
-        x = [xs[i][d] for i, d in enumerate(digits)]
-        if self.cden is None:
-            den = self.d0
-        else:
-            den = sum(c * v for c, v in zip(self.cden, x))
-        nums = tuple(sum(a * v for a, v in zip(row, x)) for row in self.coef)
-        return nums, den
+        coef = [[int(c * k) for c in row] for row in num]
+        cden = [0] * len(space.sets) if den is None else [int(c * k) for c in den]
+        self.base = k * scale if den is None else 0
+        self.tables = [
+            [(tuple(row[i] * x for row in coef), cden[i] * x)
+             for x in (int(r * scale) for r in rs.residues)]
+            for i, rs in enumerate(space.sets)
+        ]
 
     def bound_tests(self, bounds):
         """Compile bounds into (stakeholder index, p, q) integer tests:
@@ -187,39 +209,31 @@ class _Evaluator:
         return tests
 
 
-def _feasible_keys(ev, space, tests, exclusive, deadline, check_every=8192):
+def _feasible_keys(ev, tests, exclusive, deadline):
     """Yield (key, ordinal) over the whole space in mixed-radix order,
-    filtered by the risk-appetite bounds."""
-    radices = space.radices()
-    nt = len(radices)
-    digits = [0] * nt
-    total = space.size
-    key_at = ev.key_at
+    filtered by the risk-appetite bounds.  The leading threats' rows are
+    summed once per head; each point then adds one row of the last threat."""
+    zero = (0,) * len(ev.model.stakeholders)
+    *lead, last = [(zero, ev.base)], *(ev.tables or [[(zero, 0)]])
     ordinal = 0
-    while True:
-        if deadline is not None and ordinal % check_every == 0:
-            if time.monotonic() > deadline:
-                raise SolveTimeout
-        key = key_at(digits)
-        ok = True
-        if tests:
-            nums, den = key
+    for head in itertools.product(*lead):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout
+        head_nums = list(map(sum, zip(*(n for n, _ in head))))
+        head_den = sum(d for _, d in head)
+        for row_nums, row_den in last:
+            nums = tuple(map(add, head_nums, row_nums))
+            den = head_den + row_den
+            ok = True
             for si, p, q in tests:
                 lhs = nums[si] * q
                 rhs = p * den
                 if (lhs <= rhs) if exclusive else (lhs < rhs):
                     ok = False
                     break
-        if ok:
-            yield key, ordinal
-        ordinal += 1
-        if ordinal == total:
-            return
-        for i in range(nt - 1, -1, -1):
-            digits[i] += 1
-            if digits[i] < radices[i]:
-                break
-            digits[i] = 0
+            if ok:
+                yield (nums, den), ordinal
+            ordinal += 1
 
 
 def _assemble(culled, witness) -> ParetoFront:
@@ -242,8 +256,7 @@ def _feasible(m: RiskModel, cfg: SolveConfig):
     space = residue_space(m)
     ev = _Evaluator(m, cfg.mode, space)
     tests = ev.bound_tests(cfg.bounds)
-    return space, _feasible_keys(ev, space, tests, cfg.exclusive_bounds,
-                                 cfg.deadline)
+    return space, _feasible_keys(ev, tests, cfg.exclusive_bounds, cfg.deadline)
 
 
 def evaluated_points(m: RiskModel, cfg: SolveConfig = SolveConfig()):

@@ -221,6 +221,7 @@ def test_mitigation_scale_invariants():
     ('{"mitigation_levels": ["0", "1e-1000000"]}', "mitigation_levels[1]: exponent"),
     ('{"mitigation_levels": ["0.' + "0" * 5000 + '1"]}',
      "mitigation_levels[0]: number longer than"),
+    ('{"impact_scale_max": true}', "impact_scale_max: must be an integer"),
 ])
 def test_malformed_structure_is_a_model_error(document, diagnostic):
     with pytest.raises(ModelError) as exc:

@@ -73,6 +73,27 @@ def test_duplicate_witnesses_collapse():
     assert result.entries[0].residues == ((F(1, 2),),)
 
 
+_small = st.builds(F, st.integers(0, 3), st.integers(1, 2))
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(st.tuples(*[_small] * k), st.tuples(st.integers(0, 5))),
+    max_size=30)))
+@settings(max_examples=300, deadline=None)
+def test_front_matches_brute_force(pts):
+    """The O(n^2) definition: the non-dominated distinct objectives, sorted,
+    each with its witnesses in arrival order; small values make ties on the
+    first objective, and equal points, common."""
+    objs = list(dict.fromkeys(obj for obj, _ in pts))
+    expected = [
+        (o, tuple(dict.fromkeys(w for obj, w in pts if obj == o)))
+        for o in sorted(objs)
+        if not any(dominates(p, o) for p in objs)
+    ]
+    result = front(pts)
+    assert [(e.objective, e.residues) for e in result.entries] == expected
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError, match="unknown mode"):
         SolveConfig(mode="nope")
@@ -149,9 +170,9 @@ def test_goals_mode_rejects_goalless_threats(small_model):
         solve(bad, SolveConfig(mode="goals"))
 
 
-def _instance(index, nt, q, seed=77):
-    return gen_instance(BenchSpec(seed=seed), index=index, threat_count=nt,
-                        controls_per_threat=q)
+def _instance(index, nt, q, seed=77, stakeholders=2):
+    return gen_instance(BenchSpec(seed=seed, stakeholders=stakeholders),
+                        index=index, threat_count=nt, controls_per_threat=q)
 
 
 # shapes kept small enough for brute force / repeated solving
@@ -184,10 +205,10 @@ def _same_front(reduced, oracle):
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
-       st.sampled_from(["criteria", "goals"]))
+       st.sampled_from(["criteria", "goals"]), st.sampled_from([1, 2, 3]))
 @settings(max_examples=25, deadline=None)
-def test_reduced_solve_matches_direct_oracle(index, shape, mode):
-    m = _instance(index, *shape)
+def test_reduced_solve_matches_direct_oracle(index, shape, mode, stakeholders):
+    m = _instance(index, *shape, stakeholders=stakeholders)
     assert count_raw(m) <= 10**5
     cfg = SolveConfig(mode=mode)
     assert _same_front(solve(m, cfg), solve_direct_oracle(m, cfg))
