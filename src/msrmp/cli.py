@@ -31,12 +31,57 @@ def _load_model(path):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_json(doc, fh)
     else:
-        sys.stdout.write(text)
+        _write_json(doc, sys.stdout)
+
+
+def _write_json(doc, fh):
+    """Write what json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"
+    returns, a few thousand chunks at a time.  Dict keys must be strings.  A
+    dict whose values are all strings, such as a {"decimal", "exact"} number
+    or a mitigation assignment, is rendered as one chunk."""
+    enc = json.encoder.encode_basestring
+    parts = []
+
+    def put(value, pad):
+        # pad: the newline and indent before the enclosing value's closing
+        # bracket; the value's own items sit two spaces further in
+        if len(parts) >= 4096:
+            fh.write("".join(parts))
+            parts.clear()
+        if isinstance(value, str):
+            parts.append(enc(value))
+        elif isinstance(value, (dict, list, tuple)) and not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            inner = pad + "  "
+            if all(isinstance(v, str) for v in value.values()):
+                items = [enc(k) + ": " + enc(v) for k, v in value.items()]
+                parts.append("{" + inner + ("," + inner).join(items) + pad + "}")
+            else:
+                sep = "{" + inner
+                for k, v in value.items():
+                    parts.append(sep + enc(k) + ": ")
+                    put(v, inner)
+                    sep = "," + inner
+                parts.append(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            inner = pad + "  "
+            sep = "[" + inner
+            for v in value:
+                parts.append(sep)
+                put(v, inner)
+                sep = "," + inner
+            parts.append(pad + "]")
+        else:
+            parts.append(json.dumps(value))  # a number, a boolean or null
+
+    put(doc, "\n")
+    parts.append("\n")
+    fh.write("".join(parts))
 
 
 def _parse_bounds(pairs):
@@ -192,15 +237,19 @@ def cmd_solve(args):
 
 def _rmp_doc(m, enum, precision):
     tids = m.threat_ids()
+    # map-back hands out the scale's own level objects, so a level's text is
+    # found by identity: hashing a Fraction per control would cost more
+    # than rendering the rest of the document
+    level_text = {id(lv): exact_str(lv) for lv in m.scale.levels}
     per_threat = []
     for tid, xt in zip(tids, enum.target):
-        threat = m.threat(tid)
+        cids = [c.id for c in m.threat(tid).controls]
         per_threat.append({
             "threat": tid,
             "residue": _num(xt, precision),
             "count": enum.per_threat_counts[tid],
             "assignments": [
-                {c.id: exact_str(lv) for c, lv in zip(threat.controls, a.levels)}
+                {cid: level_text[id(lv)] for cid, lv in zip(cids, a.levels)}
                 for a in enum.per_threat[tid]
             ],
         })
@@ -219,6 +268,14 @@ def cmd_map_back(args):
         target = {}
         for pair in args.residue:
             tid, _, value = pair.partition("=")
+            if tid not in m.threat_ids():
+                print(f"map-back: --residue names unknown threat {tid!r}",
+                      file=sys.stderr)
+                return 1
+            if tid in target:
+                print(f"map-back: --residue gives threat {tid!r} twice",
+                      file=sys.stderr)
+                return 1
             target[tid] = rat(value, f"--residue {tid}")
         missing = [t for t in m.threat_ids() if t not in target]
         if missing:
@@ -343,8 +400,12 @@ def _write_svg(path, rows, sids, size=640, margin=60):
         fh.write("\n".join(parts) + "\n")
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low."""
+# decimal places beyond this are refused: decimal_str computes 10**places
+MAX_PRECISION = 1000
+
+
+def _int_at_least(low, high=None):
+    """argparse type: an integer >= low, and <= high if given."""
 
     def parse(text):
         try:
@@ -353,6 +414,8 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -379,7 +442,8 @@ def build_parser():
     def add_common(p, bounds=True):
         p.add_argument("model", help="risk-model JSON document")
         p.add_argument("--mode", choices=impact.MODES, default="goals")
-        p.add_argument("--precision", type=_int_at_least(0), default=4)
+        p.add_argument("--precision", type=_int_at_least(0, MAX_PRECISION),
+                       default=4)
         p.add_argument("--out", default=None)
         if bounds:
             p.add_argument("--strategy", choices=pareto.STRATEGIES,
@@ -401,7 +465,8 @@ def build_parser():
 
     p = sub.add_parser("count", help="search-space counts")
     p.add_argument("model")
-    p.add_argument("--precision", type=_int_at_least(0), default=4)
+    p.add_argument("--precision", type=_int_at_least(0, MAX_PRECISION),
+                   default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count)
 
@@ -409,7 +474,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--with-rmps", action="store_true",
                    help="enumerate mitigation mappings per optimum")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="cap emitted assignments per threat")
     p.set_defaults(func=cmd_solve)
 
@@ -417,7 +482,8 @@ def build_parser():
     add_common(p)
     p.add_argument("--residue", action="append", metavar="T=V",
                    help="target residue per threat; omit to solve first")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
+                   help="cap emitted assignments per threat")
     p.set_defaults(func=cmd_map_back)
 
     p = sub.add_parser("bench", help="synthetic benchmark sweep")

@@ -54,32 +54,38 @@ def _scaled_problem(m, tid, x):
 def assignments_for_residue(m: RiskModel, tid, x, limit=None):
     """Yield every assignment of scale levels to the threat's controls whose
     mean equals 1 - x, excluding all-max; lexicographic over control
-    positions with higher levels first."""
+    positions with higher levels first.  At most limit assignments are
+    yielded; an unachievable residue raises even when limit is 0.  The
+    levels are the scale's own Fraction objects."""
+    emitted = 0
+    for assignment in _assignments(m, tid, x):
+        if limit is not None and emitted >= limit:
+            return
+        yield assignment
+        emitted += 1
+    if not emitted:
+        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
+
+
+def _assignments(m, tid, x):
+    """Every assignment realizing x, without limit; none if x is
+    unachievable."""
     if len(m.threat(tid).controls) == 0:
-        if Fraction(x) != 1:
-            raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-        yield MitigationAssignment(tid, ())
+        if Fraction(x) == 1:
+            yield MitigationAssignment(tid, ())
         return
     scaled, n, target, top = _scaled_problem(m, tid, x)
     if target is None or not 0 <= target <= n * top:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
+        return
     den = lcm(*(lv.denominator for lv in m.scale.levels))
+    level = {int(lv * den): lv for lv in m.scale.levels}
     lo = min(scaled)
-    emitted = 0
     prefix = [0] * n
 
     def rec(pos, remaining):
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
         if pos == n:
-            if remaining == 0:
-                if all(v == top for v in prefix):
-                    return  # all-max excluded
-                yield MitigationAssignment(
-                    tid, tuple(Fraction(v, den) for v in prefix)
-                )
-                emitted += 1
+            if remaining == 0 and prefix.count(top) < n:  # all-max excluded
+                yield MitigationAssignment(tid, tuple(map(level.__getitem__, prefix)))
             return
         slots = n - pos - 1
         for lv in scaled:
@@ -89,17 +95,7 @@ def assignments_for_residue(m: RiskModel, tid, x, limit=None):
             prefix[pos] = lv
             yield from rec(pos + 1, rest)
 
-    found = yield from _drain(rec(0, target))
-    if not found:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-
-
-def _drain(gen):
-    found = False
-    for item in gen:
-        found = True
-        yield item
-    return found
+    yield from rec(0, target)
 
 
 def count_assignments(m: RiskModel, tid, x) -> int:

@@ -1,10 +1,15 @@
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from msrmp.cli import main
+from msrmp.cli import _write_json, main
 
 from .conftest import RUNNING, SMALL
+from .test_model import _json
 
 
 def run(capsys, *argv):
@@ -47,6 +52,9 @@ def test_usage_error_exits_2(capsys):
     ["solve", str(SMALL), "--chunk", "0"],
     ["bench", "--threats", "2,x"],
     ["bench", "--chunks", "2,x"],
+    ["count", str(RUNNING), "--precision", "100000000"],
+    ["solve", str(SMALL), "--with-rmps", "--limit", "-1"],
+    ["map-back", str(SMALL), "--limit", "-1"],
 ])
 def test_bad_option_values_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -111,6 +119,31 @@ def test_solve_with_rmps(capsys):
                                  {"c3": "0.5", "c4": "1"}]
 
 
+def test_rmps_document_bytes_are_pinned(tmp_path):
+    """The criterion-5 solve with every mitigation policy, byte for byte."""
+    out = tmp_path / "rmps.json"
+    code = main(["solve", str(RUNNING), "--min-bound", "DS=0.45",
+                 "--min-bound", "DC=0.55", "--with-rmps", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "56f0ca865ed36e6a7a96e2038b146f8424d73fa0bbf6ee018eff875513942d03")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", str(SMALL), "--mode", "criteria", "--with-rmps", "--limit", "0"],
+    ["map-back", str(SMALL), "--mode", "criteria", "--limit", "0"],
+])
+def test_limit_zero_emits_no_assignments(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    (rmp,) = doc["entries"][0]["rmps"] if "entries" in doc else doc["results"]
+    assert rmp["truncated"] is True
+    assert rmp["total"] == 4
+    assert [p["count"] for p in rmp["per_threat"]] == [2, 2, 1]
+    assert all(p["assignments"] == [] for p in rmp["per_threat"])
+
+
 def test_solve_with_bounds(capsys):
     code, out, err = run(capsys, "solve", str(SMALL), "--mode", "criteria",
                          "--min-bound", "s2=0.6")
@@ -145,6 +178,20 @@ def test_map_back_missing_residue(capsys):
     code, out, err = run(capsys, "map-back", str(SMALL), "--residue", "T1=0.25")
     assert code == 1
     assert "missing residues" in err
+
+
+@pytest.mark.parametrize("residues, diagnostic", [
+    (["T1=0.25", "T2=0.5", "T3=0.5", "T9=0.5"], "unknown threat 'T9'"),
+    (["T1=0.25", "T2=0.5", "T3=0.5", "T1=0.5"], "threat 'T1' twice"),
+])
+def test_map_back_rejects_bad_residue_threats(capsys, residues, diagnostic):
+    argv = ["map-back", str(SMALL)]
+    for pair in residues:
+        argv += ["--residue", pair]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert diagnostic in err
+    assert out == ""
 
 
 def test_map_back_unachievable_residue(capsys):
@@ -208,3 +255,65 @@ def test_bench_csv(capsys):
     assert lines[0].startswith("threats,controls_total,raw_count")
     assert len(lines) == 2
     assert lines[1].startswith("2,4,64,16,4,goals,upfront,4,")
+
+
+_text = st.text(max_size=6)
+_json_doc = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_text, inner, max_size=3)
+    | st.dictionaries(_text, _text, max_size=3),
+    max_leaves=25,
+)
+
+
+@given(_json_doc)
+@settings(max_examples=300, deadline=None)
+def test_write_json_matches_json_dumps(value):
+    buf = io.StringIO()
+    _write_json(value, buf)
+    assert buf.getvalue() == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def _paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+_SMALL_DOC = json.loads(SMALL.read_text())
+
+
+def _replaced(path, value):
+    doc = json.loads(json.dumps(_SMALL_DOC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_one_field_replaced = st.builds(
+    _replaced, st.sampled_from(list(_paths(_SMALL_DOC))[1:]), _json)
+
+
+@given(st.sampled_from(["solve", "count", "assess", "map-back"]),
+       st.sampled_from(["goals", "criteria"]),
+       _json | _one_field_replaced)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_document_ends_in_an_exit_code(tmp_path, command, mode, document):
+    """Any document ends in exit 0, 1 or 2, never in a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = [command, str(path), "--out", str(tmp_path / "out.json")]
+    if command != "count":
+        argv += ["--mode", mode]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -78,6 +78,8 @@ def test_unachievable_residue_raises(small_model):
         count_assignments(small_model, "T1", F(1, 3))
     with pytest.raises(ValueError, match="not achievable"):
         list(assignments_for_residue(small_model, "T1", F(1, 3)))
+    with pytest.raises(ValueError, match="not achievable"):
+        list(assignments_for_residue(small_model, "T1", F(1, 3), limit=0))
     # residue 0 means all-max, which is excluded
     with pytest.raises(ValueError, match="not achievable"):
         count_assignments(small_model, "T1", F(0))
@@ -96,6 +98,21 @@ def test_limit_truncates_emission_not_counts(running_model):
     assert enum.total == 360  # exact despite truncation
     assert len(enum.per_threat["T2"]) == 2
     assert enum.per_threat_counts["T2"] == 10
+
+
+def test_limit_zero_emits_nothing_but_counts_exactly(running_model):
+    enum = enumerate_rmps(running_model, OPTIMUM, limit=0)
+    assert enum.truncated
+    assert enum.total == 360
+    assert all(a == [] for a in enum.per_threat.values())
+
+
+def test_levels_are_the_scale_objects(running_model):
+    """The CLI renders a level by the identity of its Fraction object."""
+    scale = {id(lv) for lv in running_model.scale.levels}
+    enum = enumerate_rmps(running_model, OPTIMUM)
+    for assignments in enum.per_threat.values():
+        assert all(id(lv) in scale for a in assignments for lv in a.levels)
 
 
 def test_assignments_round_trip_to_their_residue(running_model):
