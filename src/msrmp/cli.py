@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import harness, impact, mapback, pareto, residue
 from .model import ModelError, decimal_str, exact_str, parse_model, rat, validate_model
@@ -180,10 +181,13 @@ def _solve_config(args):
     )
 
 
-def _front_doc(m, result, args, with_rmps=False, limit=None):
+def _front_doc(m, result, cfg, args):
     p = args.precision
     tids = m.threat_ids()
     sids = m.stakeholder_ids()
+    if args.with_rmps:
+        vectors = [vec for entry in result.entries for vec in entry.residues]
+        rmps = iter(_rmp_docs(m, vectors, args.limit, p))
     entries = []
     for entry in result.entries:
         doc_entry = {
@@ -195,24 +199,17 @@ def _front_doc(m, result, args, with_rmps=False, limit=None):
                 for vec in entry.residues
             ],
         }
-        if with_rmps:
-            rmp_docs = []
-            total = 0
-            for vec in entry.residues:
-                enum = mapback.enumerate_rmps(m, vec, limit=limit)
-                total += enum.total
-                rmp_docs.append(_rmp_doc(m, enum, p))
-            doc_entry["rmp_count"] = total
-            doc_entry["rmps"] = rmp_docs
+        if args.with_rmps:
+            docs = list(islice(rmps, len(entry.residues)))
+            doc_entry["rmp_count"] = sum(d["total"] for d in docs)
+            doc_entry["rmps"] = docs
         entries.append(doc_entry)
     # run parameters (strategy, chunk size) and wall-clock time are kept out
     # of the document: identical problems must produce identical bytes
     return {
         "command": "solve",
-        "mode": args.mode,
-        "bounds": {
-            sid: exact_str(v) for sid, v in _parse_bounds(args.min_bound).items()
-        },
+        "mode": cfg.mode,
+        "bounds": {sid: exact_str(v) for sid, v in cfg.bounds.items()},
         "counts": {
             "raw": residue.count_raw(m),
             "reduced": residue.count_reduced(m),
@@ -230,9 +227,19 @@ def cmd_solve(args):
     result = pareto.solve(m, cfg)
     elapsed = time.perf_counter() - t0
     print(f"solved in {elapsed:.3f}s", file=sys.stderr)
-    doc = _front_doc(m, result, args, with_rmps=args.with_rmps, limit=args.limit)
+    doc = _front_doc(m, result, cfg, args)
     _emit(doc, args.out)
     return 0
+
+
+def _rmp_docs(m, vectors, limit, precision):
+    """The map-back document of each residue vector.  Every vector is
+    counted before any is listed, so an oversized listing is refused at
+    once."""
+    for vec in vectors:
+        mapback.listing_counts(m, vec, limit)
+    return [_rmp_doc(m, mapback.enumerate_rmps(m, vec, limit=limit), precision)
+            for vec in vectors]
 
 
 def _rmp_doc(m, enum, precision):
@@ -263,7 +270,6 @@ def _rmp_doc(m, enum, precision):
 
 def cmd_map_back(args):
     m = _load_model(args.model)
-    p = args.precision
     if args.residue:
         target = {}
         for pair in args.residue:
@@ -282,24 +288,17 @@ def cmd_map_back(args):
             print(f"map-back: missing residues for threats {missing}",
                   file=sys.stderr)
             return 1
-        try:
-            enum = mapback.enumerate_rmps(m, target, limit=args.limit)
-        except ValueError as exc:
-            print(f"map-back: {exc}", file=sys.stderr)
-            return 1
-        doc = {"command": "map-back", "results": [_rmp_doc(m, enum, p)]}
-        _emit(doc, args.out)
-        return 0
-    # no explicit residue vector: solve first, then map back each optimum
-    cfg = _solve_config(args)
-    result = pareto.solve(m, cfg)
-    docs = []
-    for entry in result.entries:
-        for vec in entry.residues:
-            enum = mapback.enumerate_rmps(m, vec, limit=args.limit)
-            docs.append(_rmp_doc(m, enum, p))
-    doc = {"command": "map-back", "results": docs}
-    _emit(doc, args.out)
+        vectors = [target]
+    else:
+        # no explicit residue vector: solve first, then map back each optimum
+        result = pareto.solve(m, _solve_config(args))
+        vectors = [vec for entry in result.entries for vec in entry.residues]
+    try:
+        results = _rmp_docs(m, vectors, args.limit, args.precision)
+    except ValueError as exc:
+        print(f"map-back: {exc}", file=sys.stderr)
+        return 1
+    _emit({"command": "map-back", "results": results}, args.out)
     return 0
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import RiskModel
+from .residue import residue_of_assignment, residue_vector
 
 MODES = ("criteria", "goals")
 
@@ -64,23 +65,9 @@ def goal_spread(m: RiskModel, tid) -> Fraction:
     return sum((Fraction(1, counts[g]) for g in m.threat(tid).goals), Fraction(0))
 
 
-def _residue_vector(m, x):
-    """Normalize a residue vector given as a dict or sequence to a dict."""
-    tids = m.threat_ids()
-    if isinstance(x, dict):
-        missing = [t for t in tids if t not in x]
-        if missing:
-            raise KeyError(f"residue vector missing threats {missing}")
-        return {t: Fraction(x[t]) for t in tids}
-    x = list(x)
-    if len(x) != len(tids):
-        raise ValueError(f"residue vector has {len(x)} entries, expected {len(tids)}")
-    return {t: Fraction(v) for t, v in zip(tids, x)}
-
-
 def ntc(m: RiskModel, x) -> dict:
     """Normalized threat criticality: OW_T * x_T, renormalized to sum 1."""
-    xv = _residue_vector(m, x)
+    xv = residue_vector(m, x)
     ows = {t.id: observation_weight(m, t.id) for t in m.threats}
     denom = sum((ows[t] * xv[t] for t in xv), Fraction(0))
     if denom == 0:
@@ -128,7 +115,7 @@ def _evaluate(fold, xs) -> tuple:
 
 
 def objective(m: RiskModel, x, mode="goals") -> tuple:
-    return _evaluate(_fold(m, mode), _residue_vector(m, x).values())
+    return _evaluate(_fold(m, mode), residue_vector(m, x).values())
 
 
 def objective_criteria(m: RiskModel, x) -> tuple:
@@ -174,7 +161,7 @@ def objective_goals(m: RiskModel, x) -> tuple:
     _fold as the reference for the ratio form.  A threat affecting no goal is
     an error."""
     _require_goals(m)
-    return _goal_sum(m, _residue_vector(m, x))[2]
+    return _goal_sum(m, residue_vector(m, x))[2]
 
 
 @dataclass(frozen=True)
@@ -189,8 +176,6 @@ class AssessmentReport:
 def assess(m: RiskModel, assignment=None, mode="goals") -> AssessmentReport:
     """Evaluate a fixed per-threat assignment: residues, criticality,
     per-goal averages and the overall objectives."""
-    from .residue import residue_of_assignment
-
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if assignment is None:

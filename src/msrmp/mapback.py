@@ -2,20 +2,25 @@
 
 Per threat this is the enumeration of every length-n level vector over the
 mitigation scale summing to n * (1 - x), excluding the all-max assignment: a
-subset-sum-with-multiplicities instance.  Targets are scaled to integers over
-the scale's common denominator before the search.  The naive recursive search
-is paired with a dynamic-programming counter so truncated enumerations still
-report exact totals.
+subset-sum-with-multiplicities instance.  Sums are integers over the scale's
+common denominator, and residue.level_counts gives, for every number of
+controls, how many level vectors reach each sum.  That one table answers the
+exact count and guides the listing, which enters a level only where a
+completion exists, so it never walks into a dead end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .model import RiskModel
-from .residue import residue_set
+from .residue import level_counts, residue_vector
+
+# per-threat listings above this many assignments are refused unless a limit
+# bounds them: they would take minutes and outgrow memory
+MAX_ASSIGNMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,130 +42,99 @@ class RmpEnumeration:
     truncated: bool
 
 
-def _scaled_problem(m, tid, x):
-    """Integer form of one threat's instance: (scaled levels descending,
-    n, target sum, max level)."""
-    threat = m.threat(tid)
-    n = len(threat.controls)
-    levels = m.scale.levels
-    den = lcm(*(lv.denominator for lv in levels))
-    scaled = sorted((int(lv * den) for lv in levels), reverse=True)
-    target = n * (1 - Fraction(x)) * den
-    if target.denominator != 1:
-        return scaled, n, None, max(scaled)
-    return scaled, n, int(target), max(scaled)
+def _instance(m, tid, x):
+    """One threat's instance: (grid, counts, target, first).  grid pairs
+    each scaled level, descending, with the scale's own Fraction; counts is
+    the level-sum table; target is the integer sum realizing x.  The all-max
+    vector is the first leaf in descending order, so first is 1 when it
+    reaches target (n > 0) and is skipped, else 0."""
+    x = Fraction(x)
+    n = len(m.threat(tid).controls)
+    den, counts = level_counts(m.scale.levels, n)
+    grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
+    target = n * (1 - x) * den
+    first = int(n > 0 and target == n * grid[0][0])
+    if (target.denominator != 1 or counts[n].get(int(target), 0) <= first
+            or n == 0 and x != 1):
+        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
+    return grid, counts, int(target), first
+
+
+def _walk(grid, counts, k, rem, prefix, leaves, stop):
+    """Append to leaves every completion of prefix by k levels summing to
+    rem, depth first with higher levels first, until leaves holds stop."""
+    if k == 0:
+        leaves.append(tuple(prefix))
+        return
+    below = counts[k - 1]
+    for scaled, lv in grid:
+        if below.get(rem - scaled):
+            prefix.append(lv)
+            _walk(grid, counts, k - 1, rem - scaled, prefix, leaves, stop)
+            prefix.pop()
+            if len(leaves) >= stop:
+                return
 
 
 def assignments_for_residue(m: RiskModel, tid, x, limit=None):
-    """Yield every assignment of scale levels to the threat's controls whose
-    mean equals 1 - x, excluding all-max; lexicographic over control
-    positions with higher levels first.  At most limit assignments are
-    yielded; an unachievable residue raises even when limit is 0.  The
-    levels are the scale's own Fraction objects."""
-    emitted = 0
-    for assignment in _assignments(m, tid, x):
-        if limit is not None and emitted >= limit:
-            return
-        yield assignment
-        emitted += 1
-    if not emitted:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-
-
-def _assignments(m, tid, x):
-    """Every assignment realizing x, without limit; none if x is
-    unachievable."""
-    if len(m.threat(tid).controls) == 0:
-        if Fraction(x) == 1:
-            yield MitigationAssignment(tid, ())
-        return
-    scaled, n, target, top = _scaled_problem(m, tid, x)
-    if target is None or not 0 <= target <= n * top:
-        return
-    den = lcm(*(lv.denominator for lv in m.scale.levels))
-    level = {int(lv * den): lv for lv in m.scale.levels}
-    lo = min(scaled)
-    prefix = [0] * n
-
-    def rec(pos, remaining):
-        if pos == n:
-            if remaining == 0 and prefix.count(top) < n:  # all-max excluded
-                yield MitigationAssignment(tid, tuple(map(level.__getitem__, prefix)))
-            return
-        slots = n - pos - 1
-        for lv in scaled:
-            rest = remaining - lv
-            if rest < slots * lo or rest > slots * top:
-                continue
-            prefix[pos] = lv
-            yield from rec(pos + 1, rest)
-
-    yield from rec(0, target)
+    """Every assignment of scale levels to the threat's controls whose mean
+    equals 1 - x, excluding all-max; lexicographic over control positions
+    with higher levels first.  At most limit assignments are listed; an
+    unachievable residue raises even when limit is 0.  The levels are the
+    scale's own Fraction objects."""
+    grid, counts, target, first = _instance(m, tid, x)
+    n = len(counts) - 1
+    stop = counts[n][target] if limit is None else first + limit
+    leaves = []
+    if stop > first:
+        _walk(grid, counts, n, target, [], leaves, stop)
+    return [MitigationAssignment(tid, levels) for levels in leaves[first:]]
 
 
 def count_assignments(m: RiskModel, tid, x) -> int:
-    """Number of assignments realizing residue x on one threat, by dynamic
-    programming over (controls placed, remaining sum)."""
-    if len(m.threat(tid).controls) == 0:
-        if Fraction(x) != 1:
-            raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-        return 1
-    scaled, n, target, top = _scaled_problem(m, tid, x)
-    if target is None or not 0 <= target <= n * top:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-    counts = {0: 1}
-    for _ in range(n):
-        nxt = {}
-        for s, c in counts.items():
-            for lv in scaled:
-                t = s + lv
-                if t <= target:
-                    nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    total = counts.get(target, 0)
-    if target == n * top:
-        total -= 1  # the unique all-max assignment
-    if total == 0:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-    return total
+    """Number of assignments realizing residue x on one threat."""
+    _, counts, target, first = _instance(m, tid, x)
+    return counts[-1][target] - first
+
+
+def listing_counts(m: RiskModel, x, limit=None) -> dict:
+    """Exact assignment count per threat of the residue vector.  Without a
+    limit, a threat with more than MAX_ASSIGNMENTS assignments is refused,
+    before anything is listed."""
+    counts = {}
+    for tid, xt in residue_vector(m, x).items():
+        counts[tid] = count_assignments(m, tid, xt)
+        if limit is None and counts[tid] > MAX_ASSIGNMENTS:
+            raise ValueError(
+                f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
+                f"more than {MAX_ASSIGNMENTS} to list without a limit"
+            )
+    return counts
 
 
 def enumerate_rmps(m: RiskModel, x, limit=None) -> RmpEnumeration:
     """All mitigation mappings realizing the residue vector, threat by
-    threat.  The exact total count is reported even when per-threat emission
-    is truncated by limit."""
-    tids = m.threat_ids()
-    if isinstance(x, dict):
-        xvec = tuple(Fraction(x[t]) for t in tids)
-    else:
-        xvec = tuple(Fraction(v) for v in x)
-        if len(xvec) != len(tids):
-            raise ValueError(
-                f"residue vector has {len(xvec)} entries, expected {len(tids)}"
-            )
-    per_threat = {}
-    per_counts = {}
-    truncated = False
-    for tid, xt in zip(tids, xvec):
-        per_counts[tid] = count_assignments(m, tid, xt)
-        per_threat[tid] = list(assignments_for_residue(m, tid, xt, limit=limit))
-        if limit is not None and per_counts[tid] > len(per_threat[tid]):
-            truncated = True
+    threat.  Every threat is counted before any is listed, and the exact
+    total count is reported even when per-threat listing is truncated by
+    limit."""
+    xvec = residue_vector(m, x)
+    per_counts = listing_counts(m, xvec, limit)
+    per_threat = {
+        tid: assignments_for_residue(m, tid, xt, limit=limit)
+        for tid, xt in xvec.items()
+    }
     return RmpEnumeration(
-        target=xvec,
+        target=tuple(xvec.values()),
         per_threat=per_threat,
         per_threat_counts=per_counts,
-        total=prod(per_counts[t] for t in tids),
-        truncated=truncated,
+        total=prod(per_counts.values()),
+        truncated=any(per_counts[t] > len(a) for t, a in per_threat.items()),
     )
 
 
 def count_rmps(m: RiskModel, x) -> int:
     """Exact number of complete risk-management policies realizing the
     residue vector: product over threats of the per-threat counts."""
-    tids = m.threat_ids()
-    if isinstance(x, dict):
-        xvec = [x[t] for t in tids]
-    else:
-        xvec = list(x)
-    return prod(count_assignments(m, tid, xt) for tid, xt in zip(tids, xvec))
+    return prod(
+        count_assignments(m, tid, xt) for tid, xt in residue_vector(m, x).items()
+    )

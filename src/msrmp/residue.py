@@ -32,33 +32,50 @@ class ResidueSet:
         return self.n_controls * (1 - Fraction(x))
 
 
-def _achievable_sums(levels, n):
-    """Distinct sums of n values drawn (with repetition, ordered) from levels,
-    as integers over the common denominator of the levels."""
-    den = lcm(*(lv.denominator for lv in levels)) if levels else 1
-    scaled = sorted({int(lv * den) for lv in levels})
-    sums = {0}
+def level_counts(levels, n):
+    """(den, counts): den is the common denominator of the levels, and
+    counts[k][s] is the number of ordered k-vectors of levels whose sum is
+    s / den, for k = 0..n.  Residue sets, map-back counts and map-back
+    listings all read this one table."""
+    den = lcm(*(lv.denominator for lv in levels))
+    scaled = [int(lv * den) for lv in levels]
+    counts = [{0: 1}]
     for _ in range(n):
-        sums = {s + lv for s in sums for lv in scaled}
-    return sums, den, scaled
+        nxt = {}
+        for s, c in counts[-1].items():
+            for lv in scaled:
+                nxt[s + lv] = nxt.get(s + lv, 0) + c
+        counts.append(nxt)
+    return den, counts
 
 
 def residue_set(m: RiskModel, tid) -> ResidueSet:
-    """All achievable residues of a threat, via dynamic programming over
-    distinct sums.  A threat with no controls yields {1}: nothing can be
-    mitigated."""
+    """All achievable residues of a threat, from the level-sum table.  A
+    threat with no controls yields {1}: nothing can be mitigated."""
     threat = m.threat(tid)
     n = len(threat.controls)
     if n == 0:
         return ResidueSet(tid, 0, (Fraction(1),))
-    levels = m.scale.levels
-    sums, den, scaled = _achievable_sums(levels, n)
-    # the maximal sum is reached only by the all-max assignment; exclude it
-    sums.discard(n * max(scaled))
-    residues = sorted(
-        (1 - Fraction(s, n * den) for s in sums), reverse=True
-    )
-    return ResidueSet(tid, n, tuple(residues))
+    den, counts = level_counts(m.scale.levels, n)
+    # ascending sums give descending residues; the largest sum is reached
+    # only by the all-max assignment, which is excluded
+    sums = sorted(counts[n])[:-1]
+    return ResidueSet(tid, n, tuple(1 - Fraction(s, n * den) for s in sums))
+
+
+def residue_vector(m: RiskModel, x) -> dict:
+    """Normalize a residue vector given as a dict or sequence to a dict
+    {threat id -> Fraction} in model threat order."""
+    tids = m.threat_ids()
+    if isinstance(x, dict):
+        missing = [t for t in tids if t not in x]
+        if missing:
+            raise KeyError(f"residue vector missing threats {missing}")
+        return {t: Fraction(x[t]) for t in tids}
+    x = list(x)
+    if len(x) != len(tids):
+        raise ValueError(f"residue vector has {len(x)} entries, expected {len(tids)}")
+    return {t: Fraction(v) for t, v in zip(tids, x)}
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msrmp.cli import _write_json, main
+from msrmp.harness import BenchSpec, gen_instance
+from msrmp.model import render_model
 
 from .conftest import RUNNING, SMALL
 from .test_model import _json
@@ -200,6 +202,40 @@ def test_map_back_unachievable_residue(capsys):
                          "--residue", "T3=0.5")
     assert code == 1
     assert "not achievable" in err
+
+
+@pytest.fixture(scope="module")
+def wide_doc(tmp_path_factory):
+    """One threat of 16 controls: 5,196,627 assignments at residue 1/2."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=1, controls_per_threat=16)
+    path = tmp_path_factory.mktemp("wide") / "wide.json"
+    path.write_text(json.dumps(render_model(m)))
+    return path
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["map-back", "--residue", "T1=0.5"], 5_196_627),
+    # every residue is a witness of the one goals-mode optimum; 21/32 is the
+    # first above the ceiling, and nothing is listed before it is refused
+    (["solve", "--with-rmps"], 1_665_456),
+    (["map-back"], 1_665_456),
+])
+def test_oversized_listing_is_refused(capsys, wide_doc, argv, count):
+    code, out, err = run(capsys, argv[0], str(wide_doc), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert f"has {count} assignments" in err
+
+
+def test_limit_bounds_an_oversized_listing(capsys, wide_doc):
+    code, out, err = run(capsys, "map-back", str(wide_doc),
+                         "--residue", "T1=0.5", "--limit", "3")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    (t1,) = result["per_threat"]
+    assert len(t1["assignments"]) == 3
+    assert t1["count"] == result["total"] == 5_196_627
+    assert result["truncated"] is True
 
 
 def test_map_back_after_solve(capsys):

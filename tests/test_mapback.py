@@ -10,6 +10,8 @@ from msrmp.harness import BenchSpec, gen_instance
 from msrmp.mapback import assignments_for_residue, count_assignments
 from msrmp.residue import residue_of_assignment, residue_set
 
+from .conftest import scales, with_scale
+
 F = Fraction
 
 OPTIMUM = (F(1), F(1, 20), F(1, 8), F(1, 6), F(1, 6))
@@ -88,8 +90,12 @@ def test_unachievable_residue_raises(small_model):
 
 
 def test_wrong_vector_length(small_model):
-    with pytest.raises(ValueError, match="expected 3"):
-        enumerate_rmps(small_model, (F(1), F(1)))
+    for call in (enumerate_rmps, count_rmps):
+        for vec in ((F(1), F(1)), (F(1),) * 4):
+            with pytest.raises(ValueError, match="expected 3"):
+                call(small_model, vec)
+        with pytest.raises(KeyError, match="missing threats"):
+            call(small_model, {"T1": F(1), "T2": F(1)})
 
 
 def test_limit_truncates_emission_not_counts(running_model):
@@ -130,32 +136,37 @@ def _brute_assignments(m, tid, x):
     top = max(m.scale.levels)
     out = []
     for combo in itertools.product(m.scale.levels, repeat=n):
-        if all(lv == top for lv in combo):
+        if n and all(lv == top for lv in combo):
             continue
-        if 1 - sum(combo, F(0)) / n == x:
+        if (1 - sum(combo, F(0)) / n if n else F(1)) == x:
             out.append(combo)
     return out
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5))
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5),
+       scales, st.integers(min_value=0, max_value=4))
 @settings(max_examples=50, deadline=None)
-def test_sound_and_complete_against_brute_force(index, q):
-    m = gen_instance(BenchSpec(seed=11), index=index, threat_count=1,
-                     controls_per_threat=q)
+def test_sound_and_complete_against_brute_force(index, q, levels, limit):
+    m = with_scale(gen_instance(BenchSpec(seed=11), index=index, threat_count=1,
+                                controls_per_threat=q), levels)
     for x in residue_set(m, "T1").residues:
-        expected = _brute_assignments(m, "T1", x)
+        expected = sorted(_brute_assignments(m, "T1", x), reverse=True)
         got = [a.levels for a in assignments_for_residue(m, "T1", x)]
-        assert sorted(got) == sorted(expected)
+        assert got == expected
+        got = [a.levels for a in assignments_for_residue(m, "T1", x, limit=limit)]
+        assert got == expected[:limit]
         assert count_assignments(m, "T1", x) == len(expected)
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5))
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5),
+       scales)
 @settings(max_examples=30, deadline=None)
-def test_counts_cover_the_whole_assignment_space(index, q):
-    """Summing the per-residue counts recovers 3^q - 1."""
-    m = gen_instance(BenchSpec(seed=12), index=index, threat_count=1,
-                     controls_per_threat=q)
+def test_counts_cover_the_whole_assignment_space(index, q, levels):
+    """Summing the per-residue counts recovers k^q - 1 for k levels (1 when
+    there are no controls)."""
+    m = with_scale(gen_instance(BenchSpec(seed=12), index=index, threat_count=1,
+                                controls_per_threat=q), levels)
     total = sum(
         count_assignments(m, "T1", x) for x in residue_set(m, "T1").residues
     )
-    assert total == 3**q - 1
+    assert total == (len(levels)**q - 1 if q else 1)

@@ -9,6 +9,8 @@ from msrmp import count_raw, count_reduced, iter_points, residue_set, residue_sp
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.residue import residue_of_assignment, vector_at
 
+from .conftest import scales, with_scale
+
 F = Fraction
 
 
@@ -60,20 +62,21 @@ def _brute_residues(m, tid):
     top = max(levels)
     out = set()
     for combo in itertools.product(levels, repeat=n):
-        if all(lv == top for lv in combo):
+        if n and all(lv == top for lv in combo):
             continue
-        out.add(1 - sum(combo, F(0)) / n)
+        out.add(1 - sum(combo, F(0)) / n if n else F(1))
     return out
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=6))
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=6),
+       scales)
 @settings(max_examples=60, deadline=None)
-def test_residue_set_matches_brute_force(index, q):
-    m = gen_instance(BenchSpec(seed=42), index=index, threat_count=1,
-                     controls_per_threat=q)
+def test_residue_set_matches_brute_force(index, q, levels):
+    m = with_scale(gen_instance(BenchSpec(seed=42), index=index, threat_count=1,
+                                controls_per_threat=q), levels)
     rs = residue_set(m, "T1")
-    assert set(rs.residues) == _brute_residues(m, "T1")
-    assert count_raw(m) == 3**q - 1
+    assert list(rs.residues) == sorted(_brute_residues(m, "T1"), reverse=True)
+    assert count_raw(m) == (len(levels)**q - 1 if q else 1)
 
 
 def test_counts_multiply_over_threats():
