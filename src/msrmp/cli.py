@@ -236,8 +236,7 @@ def _rmp_docs(m, vectors, limit, precision):
     """The map-back document of each residue vector.  Every vector is
     counted before any is listed, so an oversized listing is refused at
     once."""
-    for vec in vectors:
-        mapback.listing_counts(m, vec, limit)
+    mapback.listing_counts(m, vectors, limit)
     return [_rmp_doc(m, mapback.enumerate_rmps(m, vec, limit=limit), precision)
             for vec in vectors]
 

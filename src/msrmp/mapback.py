@@ -18,8 +18,8 @@ from math import prod
 from .model import RiskModel
 from .residue import level_counts, residue_vector
 
-# per-threat listings above this many assignments are refused unless a limit
-# bounds them: they would take minutes and outgrow memory
+# listings above this many assignments, for one threat or in all, are refused
+# unless a limit bounds them: they would take minutes and outgrow memory
 MAX_ASSIGNMENTS = 10**6
 
 
@@ -60,20 +60,40 @@ def _instance(m, tid, x):
     return grid, counts, int(target), first
 
 
-def _walk(grid, counts, k, rem, prefix, leaves, stop):
-    """Append to leaves every completion of prefix by k levels summing to
-    rem, depth first with higher levels first, until leaves holds stop."""
-    if k == 0:
-        leaves.append(tuple(prefix))
-        return
-    below = counts[k - 1]
-    for scaled, lv in grid:
-        if below.get(rem - scaled):
+def _walk(grid, counts, target, stop):
+    """Every completion of n levels summing to target, depth first with
+    higher levels first, until stop are listed.  The walk keeps its own
+    stack, so the number of controls is not bounded by the recursion
+    limit: position j of the vector being built holds prefix[j], the sum
+    rems[j] left for positions j on, and tries[j], the next grid index to
+    try there."""
+    n = len(counts) - 1
+    if n == 0:
+        return [()]
+    leaves, prefix, rems, tries = [], [], [target], [0]
+    while tries:
+        j = len(tries) - 1
+        i = tries[j]
+        if i == len(grid):
+            tries.pop()
+            rems.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        tries[j] = i + 1
+        scaled, lv = grid[i]
+        rem = rems[j] - scaled
+        if not counts[n - j - 1].get(rem):
+            continue
+        if j < n - 1:
             prefix.append(lv)
-            _walk(grid, counts, k - 1, rem - scaled, prefix, leaves, stop)
-            prefix.pop()
-            if len(leaves) >= stop:
-                return
+            rems.append(rem)
+            tries.append(0)
+            continue
+        leaves.append((*prefix, lv))
+        if len(leaves) >= stop:
+            break
+    return leaves
 
 
 def assignments_for_residue(m: RiskModel, tid, x, limit=None):
@@ -83,11 +103,8 @@ def assignments_for_residue(m: RiskModel, tid, x, limit=None):
     unachievable residue raises even when limit is 0.  The levels are the
     scale's own Fraction objects."""
     grid, counts, target, first = _instance(m, tid, x)
-    n = len(counts) - 1
-    stop = counts[n][target] if limit is None else first + limit
-    leaves = []
-    if stop > first:
-        _walk(grid, counts, n, target, [], leaves, stop)
+    stop = counts[-1][target] if limit is None else first + limit
+    leaves = _walk(grid, counts, target, stop) if stop > first else []
     return [MitigationAssignment(tid, levels) for levels in leaves[first:]]
 
 
@@ -97,19 +114,29 @@ def count_assignments(m: RiskModel, tid, x) -> int:
     return counts[-1][target] - first
 
 
-def listing_counts(m: RiskModel, x, limit=None) -> dict:
-    """Exact assignment count per threat of the residue vector.  Without a
-    limit, a threat with more than MAX_ASSIGNMENTS assignments is refused,
-    before anything is listed."""
-    counts = {}
-    for tid, xt in residue_vector(m, x).items():
-        counts[tid] = count_assignments(m, tid, xt)
-        if limit is None and counts[tid] > MAX_ASSIGNMENTS:
-            raise ValueError(
-                f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
-                f"more than {MAX_ASSIGNMENTS} to list without a limit"
-            )
-    return counts
+def listing_counts(m: RiskModel, vectors, limit=None) -> list:
+    """Exact assignment count per threat of each residue vector, as one dict
+    per vector.  Without a limit, before anything is listed, a threat with
+    more than MAX_ASSIGNMENTS assignments is refused, and then so is a
+    listing whose total over all threats and vectors exceeds it."""
+    per_vector = []
+    for x in vectors:
+        counts = {}
+        for tid, xt in residue_vector(m, x).items():
+            counts[tid] = count_assignments(m, tid, xt)
+            if limit is None and counts[tid] > MAX_ASSIGNMENTS:
+                raise ValueError(
+                    f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
+                    f"more than {MAX_ASSIGNMENTS} to list without a limit"
+                )
+        per_vector.append(counts)
+    total = sum(sum(counts.values()) for counts in per_vector)
+    if limit is None and total > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"the listing has {total} assignments in all, more than "
+            f"{MAX_ASSIGNMENTS} to list without a limit"
+        )
+    return per_vector
 
 
 def enumerate_rmps(m: RiskModel, x, limit=None) -> RmpEnumeration:
@@ -118,7 +145,7 @@ def enumerate_rmps(m: RiskModel, x, limit=None) -> RmpEnumeration:
     total count is reported even when per-threat listing is truncated by
     limit."""
     xvec = residue_vector(m, x)
-    per_counts = listing_counts(m, xvec, limit)
+    (per_counts,) = listing_counts(m, [xvec], limit)
     per_threat = {
         tid: assignments_for_residue(m, tid, xt, limit=limit)
         for tid, xt in xvec.items()

@@ -1,4 +1,5 @@
-"""Dominance, non-dominated front extraction by one culling pass, and the
+"""Dominance, non-dominated front extraction by branch and bound over the
+residue space (and by one culling pass over a point stream), and the
 risk-appetite constrained variant.
 
 Internally a feasible point is carried as an integer pair (nums, den) with
@@ -209,6 +210,12 @@ class _Evaluator:
         return tests
 
 
+def _fails(num, den, p, q, exclusive):
+    """True iff the ratio num / den fails the bound test (i, p, q) of
+    _Evaluator.bound_tests."""
+    return num * q <= p * den if exclusive else num * q < p * den
+
+
 def _feasible_keys(ev, tests, exclusive, deadline):
     """Yield (key, ordinal) over the whole space in mixed-radix order,
     filtered by the risk-appetite bounds.  The leading threats' rows are
@@ -224,14 +231,7 @@ def _feasible_keys(ev, tests, exclusive, deadline):
         for row_nums, row_den in last:
             nums = tuple(map(add, head_nums, row_nums))
             den = head_den + row_den
-            ok = True
-            for si, p, q in tests:
-                lhs = nums[si] * q
-                rhs = p * den
-                if (lhs <= rhs) if exclusive else (lhs < rhs):
-                    ok = False
-                    break
-            if ok:
+            if not any(_fails(nums[si], den, p, q, exclusive) for si, p, q in tests):
                 yield (nums, den), ordinal
             ordinal += 1
 
@@ -251,19 +251,172 @@ def _assemble(culled, witness) -> ParetoFront:
     return ParetoFront(tuple(entries))
 
 
-def _feasible(m: RiskModel, cfg: SolveConfig):
-    """The residue space and its stream of feasible (key, ordinal) pairs."""
+def _extreme(a, b, start, rows, low):
+    """Exact minimum (low) or maximum of (a + sum_T n_T x_T) / (b + sum_T d_T x_T)
+    with each remaining x_T at its lowest or highest residue, as (num, den).
+    rows holds per remaining threat the one-stakeholder table rows of its
+    lowest and highest residue, (n lo, d lo, n hi, d hi); start sums the lo
+    (low) or hi rows, the first vertex tried.  Dinkelbach's iteration: with
+    lambda the current ratio, put each x_T at lo where n_T - lambda d_T is
+    positive (at hi for the maximum), until the ratio stops moving.
+    Residues are positive, so the sign of that term is the sign of
+    n hi * den - num * d hi."""
+    num, den = a + start[0], b + start[1]
+    while True:
+        n2, d2 = a, b
+        for ln, ld, hn, hd in rows:
+            if (hn * den > num * hd) == low:
+                n2 += ln
+                d2 += ld
+            else:
+                n2 += hn
+                d2 += hd
+        if n2 * den == num * d2:
+            return num, den
+        num, den = n2, d2
+
+
+def _bisect(front, before):
+    """Length of the longest prefix of the front on whose keys before holds;
+    it must hold on a prefix."""
+    lo, hi = 0, len(front)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if before(front[mid][0]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _dominated(front, ideal, planar):
+    """True iff an entry of the front, sorted by r0, strictly dominates the
+    point whose component s is the ratio ideal[s] = (num, den).  Only
+    entries with r0 <= the point's can; with one or two objectives the last
+    of them has the least r1, so it decides alone."""
+    n0, d0 = ideal[0]
+    lo = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1])
+    for (nums, den), _ in front[max(lo - 1, 0) if planar else 0:lo]:
+        strict = False
+        for e, (n, d) in zip(nums, ideal):
+            left = e * d
+            right = n * den
+            if left > right:
+                break
+            strict = strict or left < right
+        else:
+            if strict:
+                return True
+    return False
+
+
+def _separated(front, ideal, nums, den, box):
+    """With two objectives: True iff a line w.y = L, which no completion of
+    the node lies below, leaves every completion strictly dominated.
+
+    The points above the ideal point that the two-objective front leaves
+    undominated lie in open cells whose corners are its local nadirs (r0 of
+    one entry, r1 of the one before it), or in the unbounded cells beyond
+    its two ends.  w is normal to the chord between the entries that
+    bracket the ideal point, L is the exact minimum of w.y over the
+    completions, and every nadir inside the ideal box must lie on or below
+    the line.  That bounds the entries there strictly below it too."""
+    (n0, d0), (n1, d1) = ideal
+    first = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1]) - 1
+    last = _bisect(front, lambda key: key[0][1] * d1 > n1 * key[1])
+    if first < 0 or last <= first or last == len(front):
+        return False
+    (fn, fd), (ln, ld) = front[first][0], front[last][0]
+    w0 = fn[1] * ld - ln[1] * fd
+    w1 = ln[0] * fd - fn[0] * ld
+    rows = [(w0 * a[0] + w1 * b[0], a[1], w0 * a[2] + w1 * b[2], a[3])
+            for a, b in zip(box[0][0], box[1][0])]
+    start = (sum(r[0] for r in rows), sum(r[1] for r in rows))
+    num, bottom = _extreme(w0 * nums[0] + w1 * nums[1], den, start, rows, True)
+    for j in range(first, last):
+        (an, ad), (bn, bd) = front[j + 1][0], front[j][0]
+        if (w0 * an[0] * bd + w1 * bn[1] * ad) * bottom > num * ad * bd:
+            return False
+    return True
+
+
+def _search(ev, tests, exclusive, deadline):
+    """The front of the feasible points, as culled (key, ordinals) pairs,
+    by a depth-first branch and bound over the mixed-radix digit tree.
+
+    A node fixes the leading digits.  It is pruned when every completion is
+    strictly dominated by the front so far: when an entry strictly
+    dominates the ideal point of the completions, or, with two objectives,
+    when a weighted-sum line below them shows it (_separated).  It is also
+    pruned when the maximum over its completions of a bounded objective
+    fails its bound.  Equality never prunes, so no tied witness is lost.
+    The last digit runs as one flat row loop through _add_point, lowest
+    residue first, as every digit is tried."""
+    dims = len(ev.model.stakeholders)
+    zero = (0,) * dims
+    tables = ev.tables or [[(zero, 0)]]
+    n = len(tables)
+    planar = dims <= 2
+    # box[k][s]: _extreme's rows of stakeholder s over threats k.., and the
+    # sums of their lo and of their hi rows; residues descend, so a table's
+    # last row is its lowest residue
+    box = []
+    for k in range(n):
+        per_s = []
+        for s in range(dims):
+            rows = [(t[-1][0][s], t[-1][1], t[0][0][s], t[0][1]) for t in tables[k:]]
+            per_s.append((rows, (sum(r[0] for r in rows), sum(r[1] for r in rows)),
+                          (sum(r[2] for r in rows), sum(r[3] for r in rows))))
+        box.append(per_s)
+    places = [1] * n
+    for k in range(n - 2, -1, -1):
+        places[k] = places[k + 1] * len(tables[k + 1])
+    add_point = _add_point  # looked up per call, so a replaced one is used
+    front = []
+    stack = [(0, zero, ev.base, 0)]
+    while stack:
+        k, nums, den, base = stack.pop()
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout
+        if any(_fails(*_extreme(nums[si], den, box[k][si][2], box[k][si][0], False),
+                      p, q, exclusive) for si, p, q in tests):
+            continue
+        ideal = [_extreme(a, den, lo, rows, True)
+                 for a, (rows, lo, _) in zip(nums, box[k])]
+        if (_dominated(front, ideal, planar)
+                or dims == 2 and _separated(front, ideal, nums, den, box[k])):
+            continue
+        table = tables[k]
+        if k < n - 1:
+            # pushed highest residue first, so the lowest is popped first
+            place = places[k]
+            for d, (row_nums, row_den) in enumerate(table):
+                stack.append((k + 1, tuple(map(add, nums, row_nums)),
+                              den + row_den, base + d * place))
+            continue
+        for d in range(len(table) - 1, -1, -1):
+            row_nums, row_den = table[d]
+            leaf = tuple(map(add, nums, row_nums))
+            leaf_den = den + row_den
+            if not any(_fails(leaf[si], leaf_den, p, q, exclusive)
+                       for si, p, q in tests):
+                add_point(front, (leaf, leaf_den), [base + d])
+    return front
+
+
+def _prepare(m: RiskModel, cfg: SolveConfig):
+    """The residue space, its evaluator and the compiled bound tests."""
     space = residue_space(m)
     ev = _Evaluator(m, cfg.mode, space)
-    tests = ev.bound_tests(cfg.bounds)
-    return space, _feasible_keys(ev, tests, cfg.exclusive_bounds, cfg.deadline)
+    return space, ev, ev.bound_tests(cfg.bounds)
 
 
 def evaluated_points(m: RiskModel, cfg: SolveConfig = SolveConfig()):
     """Yield (objective, residue vector) for every point of the residue space
     that meets the risk-appetite bounds, in enumeration order."""
-    space, stream = _feasible(m, cfg)
-    for (nums, den), ordinal in stream:
+    space, ev, tests = _prepare(m, cfg)
+    for (nums, den), ordinal in _feasible_keys(ev, tests, cfg.exclusive_bounds,
+                                               cfg.deadline):
         yield tuple(Fraction(n, den) for n in nums), vector_at(space, ordinal)
 
 
@@ -272,13 +425,14 @@ def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     risk-appetite filtering.  An empty feasible set yields an empty front, not
     an exception.
 
-    Every strategy streams the space through the one culling pass, so
-    cfg.strategy and cfg.chunk are accepted but select nothing: a front
-    carried across windows is the front so far, and culling each window first
-    ends in the same front with the same witnesses in the same order."""
-    space, stream = _feasible(m, cfg)
-    culled = _cull((key, [o]) for key, o in stream)
-    return _assemble(culled, lambda o: vector_at(space, o))
+    The front is found by one branch-and-bound search (_search), so
+    cfg.strategy and cfg.chunk are accepted but select nothing.  Each
+    entry's witnesses are listed in enumeration order, as the flat culling
+    of evaluated_points by front() lists them."""
+    space, ev, tests = _prepare(m, cfg)
+    culled = _search(ev, tests, cfg.exclusive_bounds, cfg.deadline)
+    return _assemble(((key, sorted(ordinals)) for key, ordinals in culled),
+                     lambda o: vector_at(space, o))
 
 
 def solve_direct_oracle(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -204,13 +205,19 @@ def test_map_back_unachievable_residue(capsys):
     assert "not achievable" in err
 
 
+def _seed9_doc(tmp_path_factory, threats, controls):
+    """The seed-9 harness instance of that shape, written as a document."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=threats,
+                     controls_per_threat=controls)
+    path = tmp_path_factory.mktemp("seed9") / f"t{threats}q{controls}.json"
+    path.write_text(json.dumps(render_model(m)))
+    return path
+
+
 @pytest.fixture(scope="module")
 def wide_doc(tmp_path_factory):
     """One threat of 16 controls: 5,196,627 assignments at residue 1/2."""
-    m = gen_instance(BenchSpec(seed=9), threat_count=1, controls_per_threat=16)
-    path = tmp_path_factory.mktemp("wide") / "wide.json"
-    path.write_text(json.dumps(render_model(m)))
-    return path
+    return _seed9_doc(tmp_path_factory, 1, 16)
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -236,6 +243,35 @@ def test_limit_bounds_an_oversized_listing(capsys, wide_doc):
     assert len(t1["assignments"]) == 3
     assert t1["count"] == result["total"] == 5_196_627
     assert result["truncated"] is True
+
+
+def test_oversized_total_is_refused(capsys, tmp_path_factory):
+    """Two threats each just under the ceiling: 2 x 996,216 in all."""
+    doc = str(_seed9_doc(tmp_path_factory, 2, 16))
+    residues = ("--residue", "T1=0.6875", "--residue", "T2=0.6875")
+    code, out, err = run(capsys, "map-back", doc, *residues)
+    assert code == 1
+    assert out == ""
+    assert "has 1992432 assignments in all" in err
+    code, out, err = run(capsys, "map-back", doc, *residues, "--limit", "3")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert [len(t["assignments"]) for t in result["per_threat"]] == [3, 3]
+    assert result["total"] == 996_216 ** 2
+
+
+def test_map_back_lists_a_thousand_controls(capsys, tmp_path_factory):
+    """The listing keeps its own stack, so no recursion limit binds it."""
+    doc = str(_seed9_doc(tmp_path_factory, 1, 1000))
+    code, out, err = run(capsys, "map-back", doc, "--residue", "T1=0.5",
+                         "--limit", "1")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    (t1,) = result["per_threat"]
+    assert len(t1["assignments"]) == 1
+    # levels 0, 1/2 and 1 with mean 1/2: as many 1s as 0s, k of each
+    exact = sum(math.comb(1000, k) * math.comb(1000 - k, k) for k in range(501))
+    assert t1["count"] == result["total"] == exact
 
 
 def test_map_back_after_solve(capsys):

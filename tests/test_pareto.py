@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -17,6 +20,8 @@ from msrmp import (
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.pareto import SolveTimeout
 from msrmp.residue import count_raw, count_reduced
+
+from .conftest import scales, with_scale
 
 F = Fraction
 
@@ -192,6 +197,69 @@ def test_strategies_agree(index, shape, mode):
     ]
     fronts = [solve(m, cfg) for cfg in cfgs]
     assert all(f == fronts[0] for f in fronts[1:])
+
+
+def _impact_free(m, tid):
+    """m with every aversion to threat tid set to 0."""
+    return dataclasses.replace(m, aversion={
+        sid: {cid: {t: 0 if t == tid else v for t, v in row.items()}
+              for cid, row in per_criterion.items()}
+        for sid, per_criterion in m.aversion.items()})
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
+       st.sampled_from(["criteria", "goals"]), st.integers(1, 4),
+       st.none() | scales, st.none() | st.integers(0, 4),
+       st.sampled_from([None, False, True]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_flat_reference(index, shape, mode, stakeholders, levels,
+                                      free, exclusive, data):
+    """The search against the flat culling pass over every feasible point,
+    witness order included.  An impact-free threat makes, in criteria mode,
+    every residue of it a tied witness, each in its own subtree.  Bounds,
+    when drawn, sit on point values, so ties with them are common."""
+    m = _instance(index, *shape, stakeholders=stakeholders)
+    if levels is not None:
+        m = with_scale(m, levels)
+    if free is not None:
+        m = _impact_free(m, m.threat_ids()[free % len(m.threats)])
+    bounds = {}
+    if exclusive is not None:
+        points = [obj for obj, _ in evaluated_points(m, SolveConfig(mode=mode))]
+        sids = m.stakeholder_ids()
+        for s in data.draw(st.sets(st.integers(0, stakeholders - 1), min_size=1)):
+            bounds[sids[s]] = data.draw(st.sampled_from(sorted({p[s] for p in points})))
+    cfg = SolveConfig(mode=mode, bounds=bounds, exclusive_bounds=bool(exclusive))
+    assert solve(m, cfg) == front(evaluated_points(m, cfg))
+
+
+def test_weak_pruning_shape_matches_flat_reference():
+    """Seed 1, the instance the ideal-point test alone prunes worst (at
+    |T|=7), at a size the flat pass checks in about a second."""
+    m = gen_instance(BenchSpec(seed=1), threat_count=5, controls_per_threat=4)
+    cfg = SolveConfig(mode="goals")
+    assert solve(m, cfg) == front(evaluated_points(m, cfg))
+
+
+def _digest(result):
+    """sha256 of a front's exact objectives and witnesses, in order."""
+    text = json.dumps([[[str(v) for v in e.objective],
+                        [[str(x) for x in vec] for vec in e.residues]]
+                       for e in result.entries])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q, size, digest", [
+    (4, 15, "d3c02b1463767a47042c9e22b382a2111ef288524558bc1a8f506104aaa46538"),
+    (5, 47, "1a260b6c55c827230e59b556ce367097e7b8edaf614069e8e94dbfa249cdba5a"),
+])
+def test_paper_scale_fronts(q, size, digest):
+    """The paper's largest scalability rows: seed-9 |T|=8 with 8^8 and 10^8
+    points.  Both digests were checked once against the flat culling pass."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=8, controls_per_threat=q)
+    result = solve(m, SolveConfig(mode="goals"))
+    assert len(result) == size
+    assert _digest(result) == digest
 
 
 def _same_front(reduced, oracle):
