@@ -39,11 +39,16 @@ def _emit(doc, out_path):
         _write_json(doc, sys.stdout)
 
 
+class _Row(tuple):
+    """A string-valued dict, such as a mitigation assignment, as its items
+    already encoded ('"key": "value"'), in order."""
+
+
 def _write_json(doc, fh):
     """Write what json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"
-    returns, a few thousand chunks at a time.  Dict keys must be strings.  A
-    dict whose values are all strings, such as a {"decimal", "exact"} number
-    or a mitigation assignment, is rendered as one chunk."""
+    returns, a few thousand chunks at a time, where each _Row stands for the
+    dict it encodes.  Dict keys must be strings.  A _Row is rendered as one
+    chunk."""
     enc = json.encoder.encode_basestring
     parts = []
 
@@ -55,20 +60,20 @@ def _write_json(doc, fh):
             parts.clear()
         if isinstance(value, str):
             parts.append(enc(value))
+        elif type(value) is _Row:
+            inner = pad + "  "
+            parts.append("{" + inner + ("," + inner).join(value) + pad + "}"
+                         if value else "{}")
         elif isinstance(value, (dict, list, tuple)) and not value:
             parts.append("{}" if isinstance(value, dict) else "[]")
         elif isinstance(value, dict):
             inner = pad + "  "
-            if all(isinstance(v, str) for v in value.values()):
-                items = [enc(k) + ": " + enc(v) for k, v in value.items()]
-                parts.append("{" + inner + ("," + inner).join(items) + pad + "}")
-            else:
-                sep = "{" + inner
-                for k, v in value.items():
-                    parts.append(sep + enc(k) + ": ")
-                    put(v, inner)
-                    sep = "," + inner
-                parts.append(pad + "}")
+            sep = "{" + inner
+            for k, v in value.items():
+                parts.append(sep + enc(k) + ": ")
+                put(v, inner)
+                sep = "," + inner
+            parts.append(pad + "}")
         elif isinstance(value, (list, tuple)):
             inner = pad + "  "
             sep = "[" + inner
@@ -235,36 +240,47 @@ def cmd_solve(args):
 def _rmp_docs(m, vectors, limit, precision):
     """The map-back document of each residue vector.  Every vector is
     counted before any is listed, so an oversized listing is refused at
-    once."""
-    mapback.listing_counts(m, vectors, limit)
-    return [_rmp_doc(m, mapback.enumerate_rmps(m, vec, limit=limit), precision)
-            for vec in vectors]
-
-
-def _rmp_doc(m, enum, precision):
-    tids = m.threat_ids()
-    # map-back hands out the scale's own level objects, so a level's text is
-    # found by identity: hashing a Fraction per control would cost more
-    # than rendering the rest of the document
-    level_text = {id(lv): exact_str(lv) for lv in m.scale.levels}
-    per_threat = []
-    for tid, xt in zip(tids, enum.target):
-        cids = [c.id for c in m.threat(tid).controls]
-        per_threat.append({
-            "threat": tid,
-            "residue": _num(xt, precision),
-            "count": enum.per_threat_counts[tid],
-            "assignments": [
-                {cid: level_text[id(lv)] for cid, lv in zip(cids, a.levels)}
-                for a in enum.per_threat[tid]
-            ],
-        })
-    return {
-        "target": {t: _num(x, precision) for t, x in zip(tids, enum.target)},
-        "per_threat": per_threat,
-        "total": enum.total,
-        "truncated": enum.truncated,
+    once.  The vectors share one map-back dict, so each level table is
+    built once and each distinct (threat, residue) pair is listed once,
+    and its rows are encoded once."""
+    listed = {}
+    mapback.listing_counts(m, vectors, limit, listed)
+    enc = json.encoder.encode_basestring
+    # per threat: control position -> id of the scale's level object -> the
+    # encoded item; map-back hands out the scale's own level objects, so
+    # identity finds a level without hashing a Fraction per control
+    texts = [(lv, enc(exact_str(lv))) for lv in m.scale.levels]
+    items = {
+        t.id: [{id(lv): enc(c.id) + ": " + text for lv, text in texts}
+               for c in t.controls]
+        for t in m.threats
     }
+    tids = m.threat_ids()
+    rows = {}
+    docs = []
+    for vec in vectors:
+        # looked up per call, so a wrapper installed on it sees every vector
+        enum = mapback.enumerate_rmps(m, vec, limit=limit, listed=listed)
+        per_threat = []
+        for tid, xt in zip(tids, enum.target):
+            if (tid, xt) not in rows:
+                rows[tid, xt] = [
+                    _Row([at[id(lv)] for at, lv in zip(items[tid], a.levels)])
+                    for a in enum.per_threat[tid]
+                ]
+            per_threat.append({
+                "threat": tid,
+                "residue": _num(xt, precision),
+                "count": enum.per_threat_counts[tid],
+                "assignments": rows[tid, xt],
+            })
+        docs.append({
+            "target": {t: _num(x, precision) for t, x in zip(tids, enum.target)},
+            "per_threat": per_threat,
+            "total": enum.total,
+            "truncated": enum.truncated,
+        })
+    return docs
 
 
 def cmd_map_back(args):

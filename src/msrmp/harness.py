@@ -2,11 +2,14 @@
 
 Count columns are exact arithmetic and hardware independent; wall-clock and
 peak-memory figures are environment measurements, reported but never asserted.
+A cell's peak memory is what tracemalloc sees a second, untimed solve of the
+cell allocate, so it belongs to that cell alone and costs its time nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -24,11 +27,6 @@ from .model import (
     Threat,
 )
 from .residue import count_raw, count_reduced
-
-try:
-    import resource
-except ImportError:  # non-POSIX
-    resource = None
 
 CSV_COLUMNS = [
     "threats",
@@ -81,7 +79,7 @@ class BenchRecord:
     strategy: str
     d: int
     seconds: float
-    peak_mem_mb: float | None
+    peak_mem_mb: float
     front_size: int
     timed_out: bool
 
@@ -96,7 +94,7 @@ class BenchRecord:
             self.strategy,
             self.d,
             f"{self.seconds:.4f}",
-            "" if self.peak_mem_mb is None else f"{self.peak_mem_mb:.1f}",
+            f"{self.peak_mem_mb:.3f}",
             self.front_size,
             int(self.timed_out),
         ]
@@ -162,11 +160,34 @@ def gen_instance(spec: BenchSpec, index=0, threat_count=None,
     )
 
 
-def _peak_mem_mb():
-    if resource is None:
+def _deadline(spec):
+    if spec.timeout_secs is None:
         return None
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return rss_kb / 1024.0
+    return time.monotonic() + spec.timeout_secs
+
+
+def _peak_mem_mb(m, cfg):
+    """Peak traced allocation, in MB, of one more solve of the cell, from
+    the traced size before it; a solve that times out reports its peak so
+    far."""
+    # imported here: it brings in pickle, and every msrmp.cli start imports
+    # this module
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        pareto.solve(m, cfg)
+    except pareto.SolveTimeout:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        if started:
+            tracemalloc.stop()
+    return (peak - base) / 2**20
 
 
 def run_bench(spec: BenchSpec):
@@ -179,11 +200,9 @@ def run_bench(spec: BenchSpec):
         reduced = count_reduced(m)
         for strategy in spec.strategies:
             for d in spec.chunk_sizes:
-                deadline = None
-                if spec.timeout_secs is not None:
-                    deadline = time.monotonic() + spec.timeout_secs
                 cfg = pareto.SolveConfig(
-                    mode=spec.mode, strategy=strategy, chunk=d, deadline=deadline
+                    mode=spec.mode, strategy=strategy, chunk=d,
+                    deadline=_deadline(spec),
                 )
                 t0 = time.perf_counter()
                 timed_out = False
@@ -204,7 +223,8 @@ def run_bench(spec: BenchSpec):
                     strategy=strategy,
                     d=d,
                     seconds=elapsed,
-                    peak_mem_mb=_peak_mem_mb(),
+                    peak_mem_mb=_peak_mem_mb(
+                        m, dataclasses.replace(cfg, deadline=_deadline(spec))),
                     front_size=front_size,
                     timed_out=timed_out,
                 )

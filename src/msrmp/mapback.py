@@ -7,6 +7,12 @@ common denominator, and residue.level_counts gives, for every number of
 controls, how many level vectors reach each sum.  That one table answers the
 exact count and guides the listing, which enters a level only where a
 completion exists, so it never walks into a dead end.
+
+One call that maps back many vectors shares a `listed` dict between them.
+It holds each level-sum table, under its number of controls, and each
+assignment list, under its (threat id, residue): every table is built once
+and every distinct pair is listed once.  A dict serves one model and one
+limit.
 """
 
 from __future__ import annotations
@@ -42,15 +48,20 @@ class RmpEnumeration:
     truncated: bool
 
 
-def _instance(m, tid, x):
+def _instance(m, tid, x, listed=None):
     """One threat's instance: (grid, counts, target, first).  grid pairs
     each scaled level, descending, with the scale's own Fraction; counts is
-    the level-sum table; target is the integer sum realizing x.  The all-max
-    vector is the first leaf in descending order, so first is 1 when it
-    reaches target (n > 0) and is skipped, else 0."""
+    the level-sum table, taken from listed when it holds one; target is the
+    integer sum realizing x.  The all-max vector is the first leaf in
+    descending order, so first is 1 when it reaches target (n > 0) and is
+    skipped, else 0."""
     x = Fraction(x)
     n = len(m.threat(tid).controls)
-    den, counts = level_counts(m.scale.levels, n)
+    if listed is None:
+        listed = {}
+    if n not in listed:
+        listed[n] = level_counts(m.scale.levels, n)
+    den, counts = listed[n]
     grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
     target = n * (1 - x) * den
     first = int(n > 0 and target == n * grid[0][0])
@@ -96,25 +107,32 @@ def _walk(grid, counts, target, stop):
     return leaves
 
 
-def assignments_for_residue(m: RiskModel, tid, x, limit=None):
+def assignments_for_residue(m: RiskModel, tid, x, limit=None, listed=None):
     """Every assignment of scale levels to the threat's controls whose mean
     equals 1 - x, excluding all-max; lexicographic over control positions
     with higher levels first.  At most limit assignments are listed; an
     unachievable residue raises even when limit is 0.  The levels are the
-    scale's own Fraction objects."""
-    grid, counts, target, first = _instance(m, tid, x)
+    scale's own Fraction objects.  A pair already in listed returns the
+    list listed there, and a new one is stored."""
+    x = Fraction(x)
+    if listed is not None and (tid, x) in listed:
+        return listed[tid, x]
+    grid, counts, target, first = _instance(m, tid, x, listed)
     stop = counts[-1][target] if limit is None else first + limit
     leaves = _walk(grid, counts, target, stop) if stop > first else []
-    return [MitigationAssignment(tid, levels) for levels in leaves[first:]]
+    assignments = [MitigationAssignment(tid, levels) for levels in leaves[first:]]
+    if listed is not None:
+        listed[tid, x] = assignments
+    return assignments
 
 
-def count_assignments(m: RiskModel, tid, x) -> int:
+def count_assignments(m: RiskModel, tid, x, listed=None) -> int:
     """Number of assignments realizing residue x on one threat."""
-    _, counts, target, first = _instance(m, tid, x)
+    _, counts, target, first = _instance(m, tid, x, listed)
     return counts[-1][target] - first
 
 
-def listing_counts(m: RiskModel, vectors, limit=None) -> list:
+def listing_counts(m: RiskModel, vectors, limit=None, listed=None) -> list:
     """Exact assignment count per threat of each residue vector, as one dict
     per vector.  Without a limit, before anything is listed, a threat with
     more than MAX_ASSIGNMENTS assignments is refused, and then so is a
@@ -123,7 +141,7 @@ def listing_counts(m: RiskModel, vectors, limit=None) -> list:
     for x in vectors:
         counts = {}
         for tid, xt in residue_vector(m, x).items():
-            counts[tid] = count_assignments(m, tid, xt)
+            counts[tid] = count_assignments(m, tid, xt, listed)
             if limit is None and counts[tid] > MAX_ASSIGNMENTS:
                 raise ValueError(
                     f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
@@ -139,15 +157,16 @@ def listing_counts(m: RiskModel, vectors, limit=None) -> list:
     return per_vector
 
 
-def enumerate_rmps(m: RiskModel, x, limit=None) -> RmpEnumeration:
+def enumerate_rmps(m: RiskModel, x, limit=None, listed=None) -> RmpEnumeration:
     """All mitigation mappings realizing the residue vector, threat by
     threat.  Every threat is counted before any is listed, and the exact
     total count is reported even when per-threat listing is truncated by
-    limit."""
+    limit.  Calls that share listed share its tables and assignment
+    lists: a (threat, residue) pair listed before reuses its list."""
     xvec = residue_vector(m, x)
-    (per_counts,) = listing_counts(m, [xvec], limit)
+    (per_counts,) = listing_counts(m, [xvec], limit, listed)
     per_threat = {
-        tid: assignments_for_residue(m, tid, xt, limit=limit)
+        tid: assignments_for_residue(m, tid, xt, limit, listed)
         for tid, xt in xvec.items()
     }
     return RmpEnumeration(

@@ -2,14 +2,16 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msrmp.cli import _write_json, main
+from msrmp import enumerate_rmps, mapback, parse_model, pareto
+from msrmp.cli import _Row, _write_json, main
 from msrmp.harness import BenchSpec, gen_instance
-from msrmp.model import render_model
+from msrmp.model import decimal_str, exact_str, render_model
 
 from .conftest import RUNNING, SMALL
 from .test_model import _json
@@ -274,6 +276,86 @@ def test_map_back_lists_a_thousand_controls(capsys, tmp_path_factory):
     assert t1["count"] == result["total"] == exact
 
 
+_CRITERION_5 = ["--min-bound", "DS=0.45", "--min-bound", "DC=0.55"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    # the running example's threats have 5, 10, 4, 3 and 3 controls
+    (["solve", str(RUNNING), *_CRITERION_5, "--with-rmps"], 4),
+    (["map-back", str(RUNNING), *_CRITERION_5, "--limit", "2"], 4),
+    # the small example's have 2, 2 and 1
+    (["map-back", str(SMALL), "--residue", "T1=0.25", "--residue", "T2=0.5",
+      "--residue", "T3=0.5"], 2),
+])
+def test_level_tables_are_built_once_per_call(monkeypatch, tmp_path, argv, builds):
+    built = []
+    level_counts = mapback.level_counts
+
+    def counted(levels, n):
+        built.append(n)
+        return level_counts(levels, n)
+
+    monkeypatch.setattr(mapback, "level_counts", counted)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert sorted(built) == sorted(set(built)) and len(built) == builds
+
+
+def _reference_rmp(m, vec, limit):
+    """The map-back document of one vector from its own enumeration."""
+    enum = enumerate_rmps(m, vec, limit=limit)
+
+    def num(x):
+        return {"decimal": decimal_str(x, 4), "exact": exact_str(x)}
+
+    return {
+        "target": {t: num(x) for t, x in zip(m.threat_ids(), enum.target)},
+        "per_threat": [
+            {
+                "threat": t,
+                "residue": num(x),
+                "count": enum.per_threat_counts[t],
+                "assignments": [
+                    {c: exact_str(lv) for c, lv in a.as_dict(m).items()}
+                    for a in enum.per_threat[t]
+                ],
+            }
+            for t, x in zip(m.threat_ids(), enum.target)
+        ],
+        "total": enum.total,
+        "truncated": enum.truncated,
+    }
+
+
+@pytest.mark.parametrize("command", ["solve", "map-back"])
+@pytest.mark.parametrize("limit", [None, 3])
+def test_rmps_match_independent_enumerations(tmp_path, command, limit):
+    """The criterion-5 witnesses repeat (threat, residue) pairs: listing each
+    once per call gives the document that enumerating every vector on its
+    own gives."""
+    out = tmp_path / "out.json"
+    argv = [command, str(RUNNING), *_CRITERION_5, "--out", str(out)]
+    argv += ["--with-rmps"] if command == "solve" else []
+    argv += [] if limit is None else ["--limit", str(limit)]
+    assert main(argv) == 0
+    m = parse_model(RUNNING.read_bytes())
+    cfg = pareto.SolveConfig(bounds={"DS": F(45, 100), "DC": F(55, 100)})
+    entries = pareto.solve(m, cfg).entries
+    if command == "solve":
+        doc = json.loads(out.read_text())
+        for entry, doc_entry in zip(entries, doc["entries"]):
+            rmps = [_reference_rmp(m, vec, limit) for vec in entry.residues]
+            doc_entry["rmp_count"] = sum(r["total"] for r in rmps)
+            doc_entry["rmps"] = rmps
+    else:
+        doc = {"command": "map-back", "results": [
+            _reference_rmp(m, vec, limit)
+            for entry in entries for vec in entry.residues]}
+    # compared apart from the assert: pytest's diff of two 15 MB texts
+    # would take minutes
+    same = out.read_text() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    assert same, "the document differs from the independent enumerations"
+
+
 def test_map_back_after_solve(capsys):
     code, out, err = run(capsys, "map-back", str(SMALL), "--mode", "criteria")
     assert code == 0
@@ -329,10 +411,30 @@ def test_bench_csv(capsys):
     assert lines[1].startswith("2,4,64,16,4,goals,upfront,4,")
 
 
+class _AsRow(dict):
+    """A string-valued dict that the writer is handed as a _Row."""
+
+
+def _rowed(value):
+    """value with each _AsRow replaced by the _Row of its encoded items."""
+    enc = json.encoder.encode_basestring
+    if isinstance(value, _AsRow):
+        return _Row(enc(k) + ": " + enc(v) for k, v in value.items())
+    if isinstance(value, dict):
+        return {k: _rowed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rowed(v) for v in value]
+    return value
+
+
 _text = st.text(max_size=6)
+# ids with quotes, backslashes, control and non-ASCII characters
+_id = st.text(st.sampled_from('c1"\\\x00\x1f\x7f\u2028\u00e9\U0001f600')
+              | st.characters(), max_size=6)
 _json_doc = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
-    | st.floats() | _text,
+    | st.floats() | _text
+    | st.dictionaries(_id, _text, max_size=3).map(_AsRow),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(_text, inner, max_size=3)
     | st.dictionaries(_text, _text, max_size=3),
@@ -343,8 +445,10 @@ _json_doc = st.recursive(
 @given(_json_doc)
 @settings(max_examples=300, deadline=None)
 def test_write_json_matches_json_dumps(value):
+    """Any document, with pre-encoded rows at any depth, is written exactly
+    as json.dumps writes it with each row as its dict."""
     buf = io.StringIO()
-    _write_json(value, buf)
+    _write_json(_rowed(value), buf)
     assert buf.getvalue() == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -94,3 +94,11 @@ def test_front_sizes_agree_across_strategies():
     records = run_bench(spec)
     sizes = {rec.front_size for rec in records}
     assert len(sizes) == 1
+
+
+def test_peak_memory_is_measured_per_cell():
+    """A small cell run after a larger one reports its own, smaller peak,
+    not the process's high-water mark."""
+    spec = BenchSpec(threat_counts=(6, 2), seed=9, strategies=("upfront",))
+    big, small = run_bench(spec)
+    assert 0 < small.peak_mem_mb < big.peak_mem_mb

@@ -170,3 +170,29 @@ def test_counts_cover_the_whole_assignment_space(index, q, levels):
         count_assignments(m, "T1", x) for x in residue_set(m, "T1").residues
     )
     assert total == (len(levels)**q - 1 if q else 1)
+
+
+@given(st.data(), scales, st.integers(min_value=0, max_value=4),
+       st.none() | st.just(0) | st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_shared_listing_changes_nothing(small_model, data, levels, q, limit):
+    """Vectors that repeat (threat, residue) pairs enumerate alike with one
+    shared dict and without: the shared dict only saves work."""
+    m = with_scale(data.draw(st.sampled_from([
+        small_model,  # 2, 2 and 1 controls: tables of two sizes
+        gen_instance(BenchSpec(seed=13), threat_count=2, controls_per_threat=q),
+    ])), levels)
+    # one or two residues per threat, so the vectors repeat pairs
+    pools = [data.draw(st.lists(st.sampled_from(residue_set(m, t).residues),
+                                min_size=1, max_size=2, unique=True))
+             for t in m.threat_ids()]
+    vectors = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                                 min_size=1, max_size=5))
+    listed = {}
+    for x in vectors:
+        shared = enumerate_rmps(m, x, limit=limit, listed=listed)
+        alone = enumerate_rmps(m, x, limit=limit)
+        assert shared == alone
+        assert list(shared.per_threat) == list(alone.per_threat)
+        for t, xt in zip(m.threat_ids(), x):
+            assert shared.per_threat[t] is listed[t, xt]
