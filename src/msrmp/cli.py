@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from itertools import islice
 
-from . import harness, impact, mapback, pareto, residue
+from . import impact, mapback, pareto, residue
 from .model import ModelError, decimal_str, exact_str, parse_model, rat, validate_model
 
 
@@ -39,33 +39,50 @@ def _emit(doc, out_path):
         _write_json(doc, sys.stdout)
 
 
-class _Row(tuple):
-    """A string-valued dict, such as a mitigation assignment, as its items
-    already encoded ('"key": "value"'), in order."""
+class _Rows(list):
+    """A list of string-valued dicts, such as the assignments of one
+    threat, each as the tuple of its items already encoded
+    ('"key": "value"'), in order."""
+
+
+# parts, or rows of a _Rows, joined and written at once
+_CHUNK = 4096
 
 
 def _write_json(doc, fh):
     """Write what json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"
-    returns, a few thousand chunks at a time, where each _Row stands for the
-    dict it encodes.  Dict keys must be strings.  A _Row is rendered as one
-    chunk."""
+    returns, a few thousand chunks at a time, where each _Rows stands for
+    the list of dicts it encodes.  Dict keys must be strings.  A _Rows is
+    written a batch of rows at a time, each row one join."""
     enc = json.encoder.encode_basestring
     parts = []
+
+    def flush():
+        fh.write("".join(parts))
+        parts.clear()
 
     def put(value, pad):
         # pad: the newline and indent before the enclosing value's closing
         # bracket; the value's own items sit two spaces further in
-        if len(parts) >= 4096:
-            fh.write("".join(parts))
-            parts.clear()
+        if len(parts) >= _CHUNK:
+            flush()
         if isinstance(value, str):
             parts.append(enc(value))
-        elif type(value) is _Row:
-            inner = pad + "  "
-            parts.append("{" + inner + ("," + inner).join(value) + pad + "}"
-                         if value else "{}")
         elif isinstance(value, (dict, list, tuple)) and not value:
             parts.append("{}" if isinstance(value, dict) else "[]")
+        elif type(value) is _Rows:
+            inner = pad + "  "
+            head, sep, tail = "{" + inner + "  ", "," + inner + "  ", inner + "}"
+            flush()
+            lead = "[" + inner
+            for i in range(0, len(value), _CHUNK):
+                fh.write(lead)
+                fh.write(("," + inner).join([
+                    head + sep.join(row) + tail if row else "{}"
+                    for row in value[i:i + _CHUNK]
+                ]))
+                lead = "," + inner
+            parts.append(pad + "]")
         elif isinstance(value, dict):
             inner = pad + "  "
             sep = "{" + inner
@@ -87,7 +104,7 @@ def _write_json(doc, fh):
 
     put(doc, "\n")
     parts.append("\n")
-    fh.write("".join(parts))
+    flush()
 
 
 def _parse_bounds(pairs):
@@ -242,16 +259,14 @@ def _rmp_docs(m, vectors, limit, precision):
     counted before any is listed, so an oversized listing is refused at
     once.  The vectors share one map-back dict, so each level table is
     built once and each distinct (threat, residue) pair is listed once,
-    and its rows are encoded once."""
+    and its rows are listed once more as encoded items."""
     listed = {}
     mapback.listing_counts(m, vectors, limit, listed)
     enc = json.encoder.encode_basestring
-    # per threat: control position -> id of the scale's level object -> the
-    # encoded item; map-back hands out the scale's own level objects, so
-    # identity finds a level without hashing a Fraction per control
     texts = [(lv, enc(exact_str(lv))) for lv in m.scale.levels]
-    items = {
-        t.id: [{id(lv): enc(c.id) + ": " + text for lv, text in texts}
+    # per threat and control position: each level's encoded item
+    heads = {
+        t.id: [{lv: enc(c.id) + ": " + text for lv, text in texts}
                for c in t.controls]
         for t in m.threats
     }
@@ -264,10 +279,8 @@ def _rmp_docs(m, vectors, limit, precision):
         per_threat = []
         for tid, xt in zip(tids, enum.target):
             if (tid, xt) not in rows:
-                rows[tid, xt] = [
-                    _Row([at[id(lv)] for at, lv in zip(items[tid], a.levels)])
-                    for a in enum.per_threat[tid]
-                ]
+                rows[tid, xt] = _Rows(
+                    mapback.listing(m, tid, xt, heads[tid], limit, listed))
             per_threat.append({
                 "threat": tid,
                 "residue": _num(xt, precision),
@@ -318,6 +331,10 @@ def cmd_map_back(args):
 
 
 def cmd_bench(args):
+    # imported here: only bench uses it, and every other command would pay
+    # for loading it at start
+    from . import harness
+
     spec = harness.BenchSpec(
         threat_counts=args.threats,
         controls_per_threat=args.controls,
@@ -506,8 +523,8 @@ def build_parser():
     p.add_argument("--controls", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=impact.MODES, default="goals")
-    p.add_argument("--strategies",
-                   default="upfront,chunk-collect,chunk-carry")
+    # every strategy runs the same search, so one is the default
+    p.add_argument("--strategies", default="upfront")
     p.add_argument("--chunks", type=_int_list, default="4096")
     p.add_argument("--timeout-secs", type=float, default=None)
     p.add_argument("--out", default=None)

@@ -5,8 +5,10 @@ mitigation scale summing to n * (1 - x), excluding the all-max assignment: a
 subset-sum-with-multiplicities instance.  Sums are integers over the scale's
 common denominator, and residue.level_counts gives, for every number of
 controls, how many level vectors reach each sum.  That one table answers the
-exact count and guides the listing, which enters a level only where a
-completion exists, so it never walks into a dead end.
+exact count and guides the listing: top down it tells how many completions
+each partial sum must supply, and bottom up each partial sum's completions
+are built once, as suffixes that every row ending in them shares.  The
+listing never walks into a dead end.
 
 One call that maps back many vectors shares a `listed` dict between them.
 It holds each level-sum table, under its number of controls, and each
@@ -29,7 +31,7 @@ from .residue import level_counts, residue_vector
 MAX_ASSIGNMENTS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MitigationAssignment:
     threat_id: str
     levels: tuple[Fraction, ...]  # one level per control, model control order
@@ -49,12 +51,11 @@ class RmpEnumeration:
 
 
 def _instance(m, tid, x, listed=None):
-    """One threat's instance: (grid, counts, target, first).  grid pairs
-    each scaled level, descending, with the scale's own Fraction; counts is
-    the level-sum table, taken from listed when it holds one; target is the
-    integer sum realizing x.  The all-max vector is the first leaf in
-    descending order, so first is 1 when it reaches target (n > 0) and is
-    skipped, else 0."""
+    """One threat's instance: (grid, counts, target).  grid pairs each
+    scaled level, descending, with the scale's own Fraction; counts is the
+    level-sum table, taken from listed when it holds one; target is the
+    integer sum realizing x.  The all-max vector is excluded, and it alone
+    reaches the greatest sum (n > 0), so that sum is not achievable."""
     x = Fraction(x)
     n = len(m.threat(tid).controls)
     if listed is None:
@@ -64,63 +65,92 @@ def _instance(m, tid, x, listed=None):
     den, counts = listed[n]
     grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
     target = n * (1 - x) * den
-    first = int(n > 0 and target == n * grid[0][0])
-    if (target.denominator != 1 or counts[n].get(int(target), 0) <= first
-            or n == 0 and x != 1):
+    if (target.denominator != 1 or not counts[n].get(int(target))
+            or n > 0 and target == n * grid[0][0] or n == 0 and x != 1):
         raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-    return grid, counts, int(target), first
+    return grid, counts, int(target)
 
 
-def _walk(grid, counts, target, stop):
-    """Every completion of n levels summing to target, depth first with
-    higher levels first, until stop are listed.  The walk keeps its own
-    stack, so the number of controls is not bounded by the recursion
-    limit: position j of the vector being built holds prefix[j], the sum
-    rems[j] left for positions j on, and tries[j], the next grid index to
-    try there."""
+def _walk(grid, counts, target, stop, heads):
+    """The first stop completions of n levels summing to target, in
+    lexicographic order with higher levels first, each as the tuple of
+    heads[j][i], the symbol of grid index i at position j.
+
+    A node is a sum left for the k positions still to fill.  Top down, each
+    node gives its children, in grid order, as many completions as it still
+    needs, up to each child's count, and stops once it has enough; a child
+    wants the most any parent gives it.  Bottom up, a node's list is its
+    head before each of its children's lists, cut to what it still needs,
+    and a child's list is dropped once its last parent has read it.
+    Nothing recurses and no row is walked position by position, so the
+    number of controls is not bounded by the recursion limit."""
     n = len(counts) - 1
-    if n == 0:
-        return [()]
-    leaves, prefix, rems, tries = [], [], [target], [0]
-    while tries:
-        j = len(tries) - 1
-        i = tries[j]
-        if i == len(grid):
-            tries.pop()
-            rems.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        tries[j] = i + 1
-        scaled, lv = grid[i]
-        rem = rems[j] - scaled
-        if not counts[n - j - 1].get(rem):
-            continue
-        if j < n - 1:
-            prefix.append(lv)
-            rems.append(rem)
-            tries.append(0)
-            continue
-        leaves.append((*prefix, lv))
-        if len(leaves) >= stop:
-            break
-    return leaves
+    scaled = [s for s, _ in grid]
+    wants = [None] * n + [{target: min(stop, counts[n][target])}]
+    readers = [{} for _ in range(n)]
+    for k in range(n, 0, -1):
+        below, want, read = counts[k - 1], {}, readers[k - 1]
+        for s, need in wants[k].items():
+            for v in scaled:
+                have = below.get(s - v)
+                if have:
+                    give = min(need, have)
+                    if want.get(s - v, 0) < give:
+                        want[s - v] = give
+                    read[s - v] = read.get(s - v, 0) + 1
+                    need -= give
+                    if not need:
+                        break
+        wants[k - 1] = want
+    lists = {0: [()]}
+    for k in range(1, n + 1):
+        done, read = {}, readers[k - 1]
+        for s, need in wants[k].items():
+            rows = []
+            for v, head in zip(scaled, heads[n - k]):
+                tails = lists.get(s - v)
+                if tails is None:
+                    continue
+                if len(tails) > need:
+                    tails = tails[:need]
+                head = (head,)
+                rows += [head + t for t in tails]
+                read[s - v] -= 1
+                if not read[s - v]:
+                    del lists[s - v]
+                need -= len(tails)
+                if not need:
+                    break
+            done[s] = rows
+        lists = done
+    return lists[target]
+
+
+def listing(m: RiskModel, tid, x, heads, limit=None, listed=None) -> list:
+    """Every assignment of scale levels to the threat's controls whose mean
+    equals 1 - x, excluding all-max, as the tuple of heads[j][level] over
+    the control positions j: lexicographic over control positions with
+    higher levels first.  At most limit assignments are listed; an
+    unachievable residue raises even when limit is 0.  A listed dict, when
+    given, lends and keeps the level table."""
+    grid, counts, target = _instance(m, tid, x, listed)
+    if limit == 0:
+        return []
+    stop = counts[-1][target] if limit is None else limit
+    return _walk(grid, counts, target, stop,
+                 [[h[lv] for _, lv in grid] for h in heads])
 
 
 def assignments_for_residue(m: RiskModel, tid, x, limit=None, listed=None):
-    """Every assignment of scale levels to the threat's controls whose mean
-    equals 1 - x, excluding all-max; lexicographic over control positions
-    with higher levels first.  At most limit assignments are listed; an
-    unachievable residue raises even when limit is 0.  The levels are the
-    scale's own Fraction objects.  A pair already in listed returns the
-    list listed there, and a new one is stored."""
+    """The listing of residue x on one threat as MitigationAssignments, whose
+    levels are the scale's own Fraction objects.  A pair already in listed
+    returns the list listed there, and a new one is stored."""
     x = Fraction(x)
     if listed is not None and (tid, x) in listed:
         return listed[tid, x]
-    grid, counts, target, first = _instance(m, tid, x, listed)
-    stop = counts[-1][target] if limit is None else first + limit
-    leaves = _walk(grid, counts, target, stop) if stop > first else []
-    assignments = [MitigationAssignment(tid, levels) for levels in leaves[first:]]
+    own = {lv: lv for lv in m.scale.levels}
+    rows = listing(m, tid, x, [own] * len(m.threat(tid).controls), limit, listed)
+    assignments = [MitigationAssignment(tid, levels) for levels in rows]
     if listed is not None:
         listed[tid, x] = assignments
     return assignments
@@ -128,8 +158,8 @@ def assignments_for_residue(m: RiskModel, tid, x, limit=None, listed=None):
 
 def count_assignments(m: RiskModel, tid, x, listed=None) -> int:
     """Number of assignments realizing residue x on one threat."""
-    _, counts, target, first = _instance(m, tid, x, listed)
-    return counts[-1][target] - first
+    _, counts, target = _instance(m, tid, x, listed)
+    return counts[-1][target]
 
 
 def listing_counts(m: RiskModel, vectors, limit=None, listed=None) -> list:

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msrmp import enumerate_rmps, mapback, parse_model, pareto
-from msrmp.cli import _Row, _write_json, main
+from msrmp.cli import _Rows, _write_json, main
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.model import decimal_str, exact_str, render_model
 
-from .conftest import RUNNING, SMALL
+from .conftest import ROOT, RUNNING, SMALL
 from .test_model import _json
 
 
@@ -132,6 +135,17 @@ def test_rmps_document_bytes_are_pinned(tmp_path):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "56f0ca865ed36e6a7a96e2038b146f8424d73fa0bbf6ee018eff875513942d03")
+
+
+def test_truncated_map_back_bytes_are_pinned(tmp_path):
+    """The criterion-5 map-back cut at three assignments per threat, byte
+    for byte."""
+    out = tmp_path / "rmps.json"
+    code = main(["map-back", str(RUNNING), "--min-bound", "DS=0.45",
+                 "--min-bound", "DC=0.55", "--limit", "3", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2d9e8860510f2c215e6eacae9b9005aa00715652e128ad67b33f14b3b7b9816b")
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,7 +277,7 @@ def test_oversized_total_is_refused(capsys, tmp_path_factory):
 
 
 def test_map_back_lists_a_thousand_controls(capsys, tmp_path_factory):
-    """The listing keeps its own stack, so no recursion limit binds it."""
+    """The listing does not recurse, so no recursion limit binds it."""
     doc = str(_seed9_doc(tmp_path_factory, 1, 1000))
     code, out, err = run(capsys, "map-back", doc, "--residue", "T1=0.5",
                          "--limit", "1")
@@ -411,19 +425,42 @@ def test_bench_csv(capsys):
     assert lines[1].startswith("2,4,64,16,4,goals,upfront,4,")
 
 
-class _AsRow(dict):
-    """A string-valued dict that the writer is handed as a _Row."""
+def test_bench_defaults_to_one_strategy(capsys):
+    """Every strategy runs the same search, so by default each (|T|, chunk)
+    cell is solved once."""
+    code, out, err = run(capsys, "bench", "--threats", "2,3", "--controls", "2",
+                         "--chunks", "4,8")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[0], r[6], r[7]) for r in rows] == [
+        ("2", "upfront", "4"), ("2", "upfront", "8"),
+        ("3", "upfront", "4"), ("3", "upfront", "8")]
+
+
+def test_cli_start_does_not_import_harness():
+    """Only bench needs the harness, so no other command loads it."""
+    code = "import sys, msrmp.cli; print('msrmp.harness' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+class _AsRows(list):
+    """A list of string-valued dicts that the writer is handed as _Rows."""
 
 
 def _rowed(value):
-    """value with each _AsRow replaced by the _Row of its encoded items."""
+    """value with each _AsRows replaced by the _Rows of its dicts' encoded
+    items."""
     enc = json.encoder.encode_basestring
-    if isinstance(value, _AsRow):
-        return _Row(enc(k) + ": " + enc(v) for k, v in value.items())
+    if isinstance(value, _AsRows):
+        return _Rows(tuple(enc(k) + ": " + enc(v) for k, v in row.items())
+                     for row in value)
     if isinstance(value, dict):
         return {k: _rowed(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_rowed(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return type(value)(_rowed(v) for v in value)
     return value
 
 
@@ -431,11 +468,14 @@ _text = st.text(max_size=6)
 # ids with quotes, backslashes, control and non-ASCII characters
 _id = st.text(st.sampled_from('c1"\\\x00\x1f\x7f\u2028\u00e9\U0001f600')
               | st.characters(), max_size=6)
+# empty rows and empty lists of rows are drawn too
+_rows = st.lists(st.dictionaries(_id, _text, max_size=3), max_size=4).map(_AsRows)
 _json_doc = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
-    | st.floats() | _text
-    | st.dictionaries(_id, _text, max_size=3).map(_AsRow),
+    | st.floats() | _text | _rows,
+    # a plain tuple is written as a list, as json.dumps writes it
     lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(_text, inner, max_size=3)
     | st.dictionaries(_text, _text, max_size=3),
     max_leaves=25,
@@ -445,11 +485,29 @@ _json_doc = st.recursive(
 @given(_json_doc)
 @settings(max_examples=300, deadline=None)
 def test_write_json_matches_json_dumps(value):
-    """Any document, with pre-encoded rows at any depth, is written exactly
-    as json.dumps writes it with each row as its dict."""
+    """Any document, with lists of pre-encoded rows at any depth, is written
+    exactly as json.dumps writes it with each row as its dict."""
     buf = io.StringIO()
     _write_json(_rowed(value), buf)
     assert buf.getvalue() == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+class _Chunks(list):
+    def write(self, text):
+        self.append(text)
+
+
+def test_write_json_writes_long_row_lists_in_batches():
+    """A list of rows longer than two batches, some rows empty, is written
+    in bounded chunks, and as json.dumps writes it."""
+    rows = _AsRows({f"c{j}": f"{i % 7}/{j + 1}" for j in range(i % 4)}
+                   for i in range(2 * 4096 + 3))
+    value = {"rows": rows, "after": [_AsRows(rows[:2]), _AsRows()]}
+    chunks = _Chunks()
+    _write_json(_rowed(value), chunks)
+    text = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert "".join(chunks) == text
+    assert max(map(len, chunks)) < len(text) / 2
 
 
 def _paths(value, path=()):

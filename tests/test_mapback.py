@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from msrmp import count_rmps, enumerate_rmps
 from msrmp.harness import BenchSpec, gen_instance
-from msrmp.mapback import assignments_for_residue, count_assignments
+from msrmp.mapback import assignments_for_residue, count_assignments, listing
 from msrmp.residue import residue_of_assignment, residue_set
 
 from .conftest import scales, with_scale
@@ -143,18 +143,28 @@ def _brute_assignments(m, tid, x):
     return out
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5),
-       scales, st.integers(min_value=0, max_value=4))
+@given(st.data(), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=5), scales)
 @settings(max_examples=50, deadline=None)
-def test_sound_and_complete_against_brute_force(index, q, levels, limit):
+def test_sound_and_complete_against_brute_force(data, index, q, levels):
+    """Both forms of the listing, in full and cut at any limit up to one
+    past the count, so that cut wants shared by several parents and lists
+    dropped after their last reader are exercised; q = 0 is drawn too."""
     m = with_scale(gen_instance(BenchSpec(seed=11), index=index, threat_count=1,
                                 controls_per_threat=q), levels)
+    # a symbol per position and level that no other position shares
+    heads = [{lv: f"{j}:{lv}" for lv in levels} for j in range(q)]
     for x in residue_set(m, "T1").residues:
         expected = sorted(_brute_assignments(m, "T1", x), reverse=True)
+        symbols = [tuple(h[lv] for h, lv in zip(heads, combo))
+                   for combo in expected]
+        limit = data.draw(st.integers(min_value=0, max_value=len(expected) + 1))
         got = [a.levels for a in assignments_for_residue(m, "T1", x)]
         assert got == expected
         got = [a.levels for a in assignments_for_residue(m, "T1", x, limit=limit)]
         assert got == expected[:limit]
+        assert listing(m, "T1", x, heads) == symbols
+        assert listing(m, "T1", x, heads, limit=limit) == symbols[:limit]
         assert count_assignments(m, "T1", x) == len(expected)
 
 
