@@ -107,14 +107,18 @@ def _write_json(doc, fh):
     flush()
 
 
-def _parse_bounds(pairs):
-    bounds = {}
+def _parse_pairs(pairs, option, name):
+    """{name -> Fraction} from the option's NAME=VALUE pairs, each name
+    given at most once."""
+    values = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise ModelError(f"--min-bound {pair!r}: expected STAKEHOLDER=VALUE")
-        sid, _, value = pair.partition("=")
-        bounds[sid] = rat(value, f"--min-bound {sid}")
-    return bounds
+            raise ModelError(f"{option} {pair!r}: expected {name.upper()}=VALUE")
+        key, _, value = pair.partition("=")
+        if key in values:
+            raise ModelError(f"{option} gives {name} {key!r} twice")
+        values[key] = rat(value, f"{option} {key}")
+    return values
 
 
 def cmd_validate(args):
@@ -198,7 +202,7 @@ def _solve_config(args):
         mode=args.mode,
         strategy=args.strategy,
         chunk=args.chunk,
-        bounds=_parse_bounds(args.min_bound),
+        bounds=_parse_pairs(args.min_bound, "--min-bound", "stakeholder"),
         exclusive_bounds=args.exclusive_bounds,
     )
 
@@ -257,11 +261,11 @@ def cmd_solve(args):
 def _rmp_docs(m, vectors, limit, precision):
     """The map-back document of each residue vector.  Every vector is
     counted before any is listed, so an oversized listing is refused at
-    once.  The vectors share one map-back dict, so each level table is
-    built once and each distinct (threat, residue) pair is listed once,
-    and its rows are listed once more as encoded items."""
+    once.  The vectors share one map-back dict, so each distinct (threat,
+    residue) pair is listed once, and its rows are listed once more as
+    encoded items."""
     listed = {}
-    mapback.listing_counts(m, vectors, limit, listed)
+    mapback.listing_counts(m, vectors, limit)
     enc = json.encoder.encode_basestring
     texts = [(lv, enc(exact_str(lv))) for lv in m.scale.levels]
     # per threat and control position: each level's encoded item
@@ -280,7 +284,7 @@ def _rmp_docs(m, vectors, limit, precision):
         for tid, xt in zip(tids, enum.target):
             if (tid, xt) not in rows:
                 rows[tid, xt] = _Rows(
-                    mapback.listing(m, tid, xt, heads[tid], limit, listed))
+                    mapback.listing(m, tid, xt, heads[tid], limit))
             per_threat.append({
                 "threat": tid,
                 "residue": _num(xt, precision),
@@ -299,18 +303,12 @@ def _rmp_docs(m, vectors, limit, precision):
 def cmd_map_back(args):
     m = _load_model(args.model)
     if args.residue:
-        target = {}
-        for pair in args.residue:
-            tid, _, value = pair.partition("=")
-            if tid not in m.threat_ids():
-                print(f"map-back: --residue names unknown threat {tid!r}",
-                      file=sys.stderr)
-                return 1
-            if tid in target:
-                print(f"map-back: --residue gives threat {tid!r} twice",
-                      file=sys.stderr)
-                return 1
-            target[tid] = rat(value, f"--residue {tid}")
+        target = _parse_pairs(args.residue, "--residue", "threat")
+        unknown = [t for t in target if t not in m.threat_ids()]
+        if unknown:
+            print(f"map-back: --residue names unknown threat {unknown[0]!r}",
+                  file=sys.stderr)
+            return 1
         missing = [t for t in m.threat_ids() if t not in target]
         if missing:
             print(f"map-back: missing residues for threats {missing}",
@@ -548,7 +546,9 @@ def main(argv=None):
             print(diag, file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
+        # the str() of a KeyError is the repr of its message
+        print(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc,
+              file=sys.stderr)
         return 1
 
 

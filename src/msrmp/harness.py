@@ -28,22 +28,6 @@ from .model import (
 )
 from .residue import count_raw, count_reduced
 
-CSV_COLUMNS = [
-    "threats",
-    "controls_total",
-    "raw_count",
-    "reduced_count",
-    "reduction_factor",
-    "mode",
-    "strategy",
-    "d",
-    "seconds",
-    "peak_mem_mb",
-    "front_size",
-    "timed_out",
-]
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     threat_counts: tuple = (5, 6)
@@ -98,6 +82,9 @@ class BenchRecord:
             self.front_size,
             int(self.timed_out),
         ]
+
+
+CSV_COLUMNS = [f.name for f in dataclasses.fields(BenchRecord)]
 
 
 def _random_weights(rng, count):

@@ -3,18 +3,18 @@
 Per threat this is the enumeration of every length-n level vector over the
 mitigation scale summing to n * (1 - x), excluding the all-max assignment: a
 subset-sum-with-multiplicities instance.  Sums are integers over the scale's
-common denominator, and residue.level_counts gives, for every number of
-controls, how many level vectors reach each sum.  That one table answers the
-exact count and guides the listing: top down it tells how many completions
+common denominator, and the scale's level_counts gives, for every number
+of controls, how many level vectors reach each sum.  That one table answers
+the exact count and guides the listing: top down it tells how many completions
 each partial sum must supply, and bottom up each partial sum's completions
 are built once, as suffixes that every row ending in them shares.  The
 listing never walks into a dead end.
 
-One call that maps back many vectors shares a `listed` dict between them.
-It holds each level-sum table, under its number of controls, and each
-assignment list, under its (threat id, residue): every table is built once
-and every distinct pair is listed once.  A dict serves one model and one
-limit.
+The scale builds each table once per number of controls and keeps it, so
+solve, counts and map-back share it.  One call that maps back many vectors
+shares a `listed` dict between them, which holds only assignment lists,
+under their (threat id, residue): every distinct pair is listed once.  A
+dict serves one model and one limit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 
 from .model import RiskModel
-from .residue import level_counts, residue_vector
+from .residue import residue_vector
 
 # listings above this many assignments, for one threat or in all, are refused
 # unless a limit bounds them: they would take minutes and outgrow memory
@@ -50,19 +50,15 @@ class RmpEnumeration:
     truncated: bool
 
 
-def _instance(m, tid, x, listed=None):
+def _instance(m, tid, x):
     """One threat's instance: (grid, counts, target).  grid pairs each
     scaled level, descending, with the scale's own Fraction; counts is the
-    level-sum table, taken from listed when it holds one; target is the
-    integer sum realizing x.  The all-max vector is excluded, and it alone
-    reaches the greatest sum (n > 0), so that sum is not achievable."""
+    scale's level-sum table; target is the integer sum realizing x.  The
+    all-max vector is excluded, and it alone reaches the greatest sum
+    (n > 0), so that sum is not achievable."""
     x = Fraction(x)
     n = len(m.threat(tid).controls)
-    if listed is None:
-        listed = {}
-    if n not in listed:
-        listed[n] = level_counts(m.scale.levels, n)
-    den, counts = listed[n]
+    den, counts = m.scale.level_counts(n)
     grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
     target = n * (1 - x) * den
     if (target.denominator != 1 or not counts[n].get(int(target))
@@ -126,14 +122,13 @@ def _walk(grid, counts, target, stop, heads):
     return lists[target]
 
 
-def listing(m: RiskModel, tid, x, heads, limit=None, listed=None) -> list:
+def listing(m: RiskModel, tid, x, heads, limit=None) -> list:
     """Every assignment of scale levels to the threat's controls whose mean
     equals 1 - x, excluding all-max, as the tuple of heads[j][level] over
     the control positions j: lexicographic over control positions with
     higher levels first.  At most limit assignments are listed; an
-    unachievable residue raises even when limit is 0.  A listed dict, when
-    given, lends and keeps the level table."""
-    grid, counts, target = _instance(m, tid, x, listed)
+    unachievable residue raises even when limit is 0."""
+    grid, counts, target = _instance(m, tid, x)
     if limit == 0:
         return []
     stop = counts[-1][target] if limit is None else limit
@@ -149,20 +144,20 @@ def assignments_for_residue(m: RiskModel, tid, x, limit=None, listed=None):
     if listed is not None and (tid, x) in listed:
         return listed[tid, x]
     own = {lv: lv for lv in m.scale.levels}
-    rows = listing(m, tid, x, [own] * len(m.threat(tid).controls), limit, listed)
+    rows = listing(m, tid, x, [own] * len(m.threat(tid).controls), limit)
     assignments = [MitigationAssignment(tid, levels) for levels in rows]
     if listed is not None:
         listed[tid, x] = assignments
     return assignments
 
 
-def count_assignments(m: RiskModel, tid, x, listed=None) -> int:
+def count_assignments(m: RiskModel, tid, x) -> int:
     """Number of assignments realizing residue x on one threat."""
-    _, counts, target = _instance(m, tid, x, listed)
+    _, counts, target = _instance(m, tid, x)
     return counts[-1][target]
 
 
-def listing_counts(m: RiskModel, vectors, limit=None, listed=None) -> list:
+def listing_counts(m: RiskModel, vectors, limit=None) -> list:
     """Exact assignment count per threat of each residue vector, as one dict
     per vector.  Without a limit, before anything is listed, a threat with
     more than MAX_ASSIGNMENTS assignments is refused, and then so is a
@@ -171,7 +166,7 @@ def listing_counts(m: RiskModel, vectors, limit=None, listed=None) -> list:
     for x in vectors:
         counts = {}
         for tid, xt in residue_vector(m, x).items():
-            counts[tid] = count_assignments(m, tid, xt, listed)
+            counts[tid] = count_assignments(m, tid, xt)
             if limit is None and counts[tid] > MAX_ASSIGNMENTS:
                 raise ValueError(
                     f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
@@ -191,10 +186,10 @@ def enumerate_rmps(m: RiskModel, x, limit=None, listed=None) -> RmpEnumeration:
     """All mitigation mappings realizing the residue vector, threat by
     threat.  Every threat is counted before any is listed, and the exact
     total count is reported even when per-threat listing is truncated by
-    limit.  Calls that share listed share its tables and assignment
-    lists: a (threat, residue) pair listed before reuses its list."""
+    limit.  Calls that share listed share its assignment lists: a
+    (threat, residue) pair listed before reuses its list."""
     xvec = residue_vector(m, x)
-    (per_counts,) = listing_counts(m, [xvec], limit, listed)
+    (per_counts,) = listing_counts(m, [xvec], limit)
     per_threat = {
         tid: assignments_for_residue(m, tid, xt, limit, listed)
         for tid, xt in xvec.items()

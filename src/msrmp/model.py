@@ -8,8 +8,9 @@ like "0.725" parses to 29/40; a value like "5/6" is accepted too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 DEFAULT_GOALS = [
     ("G1", "Confidentiality"),
@@ -150,10 +151,38 @@ class Goal:
     name: str
 
 
+def level_sums(levels, n):
+    """(den, counts): den is the common denominator of the levels, and
+    counts[k][s] is the number of ordered k-vectors of levels whose sum is
+    s / den, for k = 0..n."""
+    den = lcm(*(lv.denominator for lv in levels))
+    scaled = [int(lv * den) for lv in levels]
+    counts = [{0: 1}]
+    for _ in range(n):
+        nxt = {}
+        for s, c in counts[-1].items():
+            for lv in scaled:
+                nxt[s + lv] = nxt.get(s + lv, 0) + c
+        counts.append(nxt)
+    return den, counts
+
+
 @dataclass(frozen=True)
 class MitigationScale:
     levels: tuple[Fraction, ...] = DEFAULT_MITIGATION_LEVELS
     impact_scale_max: int = DEFAULT_IMPACT_SCALE_MAX
+    # level_sums tables by number of controls, built on first use and kept
+    # as long as the scale
+    tables: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
+
+    def level_counts(self, n):
+        """The level-sum table of n controls: residue sets, map-back counts
+        and map-back listings all read this one table, built once per scale
+        and number of controls."""
+        if n not in self.tables:
+            self.tables[n] = level_sums(self.levels, n)
+        return self.tables[n]
 
 
 @dataclass(frozen=True)
@@ -166,7 +195,7 @@ class RiskModel:
     goals: tuple[Goal, ...]
     # aversion[stakeholder_id][criterion_id][threat_id] -> int
     aversion: dict
-    scale: MitigationScale = MitigationScale()
+    scale: MitigationScale = field(default_factory=MitigationScale)
     # optional fixed assignment[threat_id][control_id] -> Fraction, for assess
     assignment: dict | None = None
 

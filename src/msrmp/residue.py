@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .model import RiskModel
 
@@ -32,23 +32,6 @@ class ResidueSet:
         return self.n_controls * (1 - Fraction(x))
 
 
-def level_counts(levels, n):
-    """(den, counts): den is the common denominator of the levels, and
-    counts[k][s] is the number of ordered k-vectors of levels whose sum is
-    s / den, for k = 0..n.  Residue sets, map-back counts and map-back
-    listings all read this one table."""
-    den = lcm(*(lv.denominator for lv in levels))
-    scaled = [int(lv * den) for lv in levels]
-    counts = [{0: 1}]
-    for _ in range(n):
-        nxt = {}
-        for s, c in counts[-1].items():
-            for lv in scaled:
-                nxt[s + lv] = nxt.get(s + lv, 0) + c
-        counts.append(nxt)
-    return den, counts
-
-
 def residue_set(m: RiskModel, tid) -> ResidueSet:
     """All achievable residues of a threat, from the level-sum table.  A
     threat with no controls yields {1}: nothing can be mitigated."""
@@ -56,7 +39,7 @@ def residue_set(m: RiskModel, tid) -> ResidueSet:
     n = len(threat.controls)
     if n == 0:
         return ResidueSet(tid, 0, (Fraction(1),))
-    den, counts = level_counts(m.scale.levels, n)
+    den, counts = m.scale.level_counts(n)
     # ascending sums give descending residues; the largest sum is reached
     # only by the all-max assignment, which is excluded
     sums = sorted(counts[n])[:-1]

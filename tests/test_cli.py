@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msrmp import enumerate_rmps, mapback, parse_model, pareto
+from msrmp import enumerate_rmps, model, parse_model, pareto
 from msrmp.cli import _Rows, _write_json, main
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.model import decimal_str, exact_str, render_model
@@ -182,6 +182,18 @@ def test_bad_bound_syntax(capsys):
     assert "STAKEHOLDER=VALUE" in err
 
 
+@pytest.mark.parametrize("argv, diagnostic", [
+    (["solve", str(SMALL), "--mode", "criteria", "--min-bound", "s2=0.9",
+      "--min-bound", "s2=0.1"], "--min-bound gives stakeholder 's2' twice"),
+    (["solve", str(SMALL), "--mode", "criteria", "--min-bound", "zz=0.1"],
+     "unknown stakeholder 'zz' in bounds"),
+    (["map-back", str(SMALL), "--residue", "T1"],
+     "--residue 'T1': expected THREAT=VALUE"),
+])
+def test_bad_pair_diagnostics(capsys, argv, diagnostic):
+    assert run(capsys, *argv) == (1, "", diagnostic + "\n")
+
+
 def test_map_back_explicit_residues(capsys):
     code, out, err = run(capsys, "map-back", str(SMALL),
                          "--residue", "T1=0.25", "--residue", "T2=0.5",
@@ -300,16 +312,22 @@ _CRITERION_5 = ["--min-bound", "DS=0.45", "--min-bound", "DC=0.55"]
     # the small example's have 2, 2 and 1
     (["map-back", str(SMALL), "--residue", "T1=0.25", "--residue", "T2=0.5",
       "--residue", "T3=0.5"], 2),
+    # wide_doc's one threat of 16 controls: the solve and its counts
+    (["solve", "WIDE"], 1),
 ])
-def test_level_tables_are_built_once_per_call(monkeypatch, tmp_path, argv, builds):
+def test_level_tables_are_built_once_per_call(monkeypatch, tmp_path, wide_doc,
+                                              argv, builds):
+    """Solve, counts and map-back run the level-sum dynamic program once
+    per number of controls in the whole call."""
     built = []
-    level_counts = mapback.level_counts
+    level_sums = model.level_sums
 
     def counted(levels, n):
         built.append(n)
-        return level_counts(levels, n)
+        return level_sums(levels, n)
 
-    monkeypatch.setattr(mapback, "level_counts", counted)
+    monkeypatch.setattr(model, "level_sums", counted)
+    argv = [str(wide_doc) if a == "WIDE" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert sorted(built) == sorted(set(built)) and len(built) == builds
 
