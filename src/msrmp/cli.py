@@ -262,8 +262,7 @@ def _rmp_docs(m, vectors, limit, precision):
     """The map-back document of each residue vector.  Every vector is
     counted before any is listed, so an oversized listing is refused at
     once.  The vectors share one map-back dict, so each distinct (threat,
-    residue) pair is listed once, and its rows are listed once more as
-    encoded items."""
+    residue) pair is listed once, as rows of encoded items."""
     listed = {}
     mapback.listing_counts(m, vectors, limit)
     enc = json.encoder.encode_basestring
@@ -275,21 +274,18 @@ def _rmp_docs(m, vectors, limit, precision):
         for t in m.threats
     }
     tids = m.threat_ids()
-    rows = {}
     docs = []
     for vec in vectors:
         # looked up per call, so a wrapper installed on it sees every vector
-        enum = mapback.enumerate_rmps(m, vec, limit=limit, listed=listed)
+        enum = mapback.enumerate_rmps(m, vec, limit=limit, listed=listed,
+                                      heads=heads)
         per_threat = []
         for tid, xt in zip(tids, enum.target):
-            if (tid, xt) not in rows:
-                rows[tid, xt] = _Rows(
-                    mapback.listing(m, tid, xt, heads[tid], limit))
             per_threat.append({
                 "threat": tid,
                 "residue": _num(xt, precision),
                 "count": enum.per_threat_counts[tid],
-                "assignments": rows[tid, xt],
+                "assignments": _Rows(enum.per_threat[tid]),
             })
         docs.append({
             "target": {t: _num(x, precision) for t, x in zip(tids, enum.target)},
@@ -388,7 +384,6 @@ def _write_svg(path, rows, sids, size=640, margin=60):
     xs = [float(obj[0]) for obj, _ in rows]
     ys = [float(obj[1]) for obj, _ in rows]
     if not xs:
-        span = lambda v: 0.0
         xmin = ymin = 0.0
         xrange = yrange = 1.0
     else:

@@ -12,9 +12,9 @@ listing never walks into a dead end.
 
 The scale builds each table once per number of controls and keeps it, so
 solve, counts and map-back share it.  One call that maps back many vectors
-shares a `listed` dict between them, which holds only assignment lists,
-under their (threat id, residue): every distinct pair is listed once.  A
-dict serves one model and one limit.
+shares a `listed` dict between them, which holds the lists of
+enumerate_rmps under their (threat id, residue): every distinct pair is
+listed once.  A dict serves one model, one limit and one form of heads.
 """
 
 from __future__ import annotations
@@ -136,19 +136,12 @@ def listing(m: RiskModel, tid, x, heads, limit=None) -> list:
                  [[h[lv] for _, lv in grid] for h in heads])
 
 
-def assignments_for_residue(m: RiskModel, tid, x, limit=None, listed=None):
+def assignments_for_residue(m: RiskModel, tid, x, limit=None):
     """The listing of residue x on one threat as MitigationAssignments, whose
-    levels are the scale's own Fraction objects.  A pair already in listed
-    returns the list listed there, and a new one is stored."""
-    x = Fraction(x)
-    if listed is not None and (tid, x) in listed:
-        return listed[tid, x]
+    levels are the scale's own Fraction objects."""
     own = {lv: lv for lv in m.scale.levels}
     rows = listing(m, tid, x, [own] * len(m.threat(tid).controls), limit)
-    assignments = [MitigationAssignment(tid, levels) for levels in rows]
-    if listed is not None:
-        listed[tid, x] = assignments
-    return assignments
+    return [MitigationAssignment(tid, levels) for levels in rows]
 
 
 def count_assignments(m: RiskModel, tid, x) -> int:
@@ -182,18 +175,22 @@ def listing_counts(m: RiskModel, vectors, limit=None) -> list:
     return per_vector
 
 
-def enumerate_rmps(m: RiskModel, x, limit=None, listed=None) -> RmpEnumeration:
+def enumerate_rmps(m: RiskModel, x, limit=None, listed=None,
+                   heads=None) -> RmpEnumeration:
     """All mitigation mappings realizing the residue vector, threat by
     threat.  Every threat is counted before any is listed, and the exact
     total count is reported even when per-threat listing is truncated by
-    limit.  Calls that share listed share its assignment lists: a
-    (threat, residue) pair listed before reuses its list."""
+    limit.  Given heads (threat id -> listing's per-control symbol
+    tables), each list holds listing's rows, else MitigationAssignments.
+    Calls that share listed reuse the list of a pair listed before."""
     xvec = residue_vector(m, x)
     (per_counts,) = listing_counts(m, [xvec], limit)
-    per_threat = {
-        tid: assignments_for_residue(m, tid, xt, limit, listed)
-        for tid, xt in xvec.items()
-    }
+    listed = {} if listed is None else listed
+    for tid, xt in xvec.items():
+        if (tid, xt) not in listed:
+            listed[tid, xt] = (listing(m, tid, xt, heads[tid], limit) if heads
+                               else assignments_for_residue(m, tid, xt, limit))
+    per_threat = {tid: listed[tid, xt] for tid, xt in xvec.items()}
     return RmpEnumeration(
         target=tuple(xvec.values()),
         per_threat=per_threat,

@@ -320,7 +320,8 @@ def _separated(front, ideal, nums, den, box):
     its two ends.  w is normal to the chord between the entries that
     bracket the ideal point, L is the exact minimum of w.y over the
     completions, and every nadir inside the ideal box must lie on or below
-    the line.  That bounds the entries there strictly below it too."""
+    the line.  That bounds the entries there strictly below it too.  An
+    ideal point raised to the bounds leaves out only infeasible completions."""
     (n0, d0), (n1, d1) = ideal
     first = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1]) - 1
     last = _bisect(front, lambda key: key[0][1] * d1 > n1 * key[1])
@@ -349,7 +350,10 @@ def _search(ev, tests, exclusive, deadline):
     dominates the ideal point of the completions, or, with two objectives,
     when a weighted-sum line below them shows it (_separated).  It is also
     pruned when the maximum over its completions of a bounded objective
-    fails its bound.  Equality never prunes, so no tied witness is lost.
+    fails its bound.  Otherwise a bounded component of the ideal point
+    below its bound is raised to it: the feasible completions all lie on or
+    above the raised point, so the dominance tests stay exact.  Equality
+    never prunes, so no tied witness is lost.
     The last digit runs as one flat row loop through _add_point, lowest
     residue first, as every digit is tried."""
     dims = len(ev.model.stakeholders)
@@ -383,6 +387,9 @@ def _search(ev, tests, exclusive, deadline):
             continue
         ideal = [_extreme(a, den, lo, rows, True)
                  for a, (rows, lo, _) in zip(nums, box[k])]
+        for si, p, q in tests:
+            if ideal[si][0] * q < p * ideal[si][1]:
+                ideal[si] = (p, q)
         if (_dominated(front, ideal, planar)
                 or dims == 2 and _separated(front, ideal, nums, den, box[k])):
             continue

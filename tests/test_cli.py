@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msrmp import enumerate_rmps, model, parse_model, pareto
+from msrmp import enumerate_rmps, mapback, model, parse_model, pareto
 from msrmp.cli import _Rows, _write_json, main
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.model import decimal_str, exact_str, render_model
@@ -330,6 +330,22 @@ def test_level_tables_are_built_once_per_call(monkeypatch, tmp_path, wide_doc,
     argv = [str(wide_doc) if a == "WIDE" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert sorted(built) == sorted(set(built)) and len(built) == builds
+
+
+def test_each_pair_is_listed_once(monkeypatch, tmp_path):
+    """The criterion-5 witnesses hold 24 distinct (threat, residue) pairs;
+    each is listed once, as the encoded rows the document writes."""
+    walks = []
+    walk = mapback._walk
+
+    def counted(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(mapback, "_walk", counted)
+    assert main(["solve", str(RUNNING), *_CRITERION_5, "--with-rmps",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(walks) == 24
 
 
 def _reference_rmp(m, vec, limit):

@@ -113,6 +113,26 @@ def test_limit_zero_emits_nothing_but_counts_exactly(running_model):
     assert all(a == [] for a in enum.per_threat.values())
 
 
+@pytest.mark.parametrize("limit", [None, 0, 2])
+def test_heads_form_lists_the_default_rows(running_model, limit):
+    """Given heads, each threat's list is the default listing's rows, each
+    level mapped through its control position's table."""
+    m = running_model
+    heads = {t.id: [{lv: f"{c.id}={lv}" for lv in m.scale.levels}
+                    for c in t.controls]
+             for t in m.threats}
+    default = enumerate_rmps(m, OPTIMUM, limit=limit)
+    rows = enumerate_rmps(m, OPTIMUM, limit=limit, heads=heads)
+    assert rows.target == default.target
+    assert rows.per_threat_counts == default.per_threat_counts
+    assert (rows.total, rows.truncated) == (default.total, default.truncated)
+    for tid, assignments in default.per_threat.items():
+        assert len(rows.per_threat[tid]) == len(assignments)
+        assert rows.per_threat[tid] == [
+            tuple(h[lv] for h, lv in zip(heads[tid], a.levels))
+            for a in assignments]
+
+
 def test_levels_are_the_scale_objects(running_model):
     """The CLI renders a level by the identity of its Fraction object."""
     scale = {id(lv) for lv in running_model.scale.levels}

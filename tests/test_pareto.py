@@ -17,6 +17,7 @@ from msrmp import (
     solve,
     solve_direct_oracle,
 )
+from msrmp import pareto
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.pareto import SolveTimeout
 from msrmp.residue import count_raw, count_reduced
@@ -239,6 +240,28 @@ def test_weak_pruning_shape_matches_flat_reference():
     m = gen_instance(BenchSpec(seed=1), threat_count=5, controls_per_threat=4)
     cfg = SolveConfig(mode="goals")
     assert solve(m, cfg) == front(evaluated_points(m, cfg))
+
+
+@pytest.mark.parametrize("exclusive, leaves", [(False, 2561), (True, 3853)])
+def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
+                                                exclusive, leaves):
+    """Criterion 5: the ideal point raised to the bounds prunes subtrees the
+    bare ideal point keeps (3,847 leaves without the clip).  Every entry
+    lies strictly above an exclusive bound, so there the clip never prunes,
+    but the front stays exact either way."""
+    cfg = SolveConfig(bounds={"DS": F(45, 100), "DC": F(55, 100)},
+                      exclusive_bounds=exclusive)
+    reference = front(evaluated_points(running_model, cfg))
+    calls = []
+    add_point = pareto._add_point
+
+    def counted(*args):
+        calls.append(None)
+        return add_point(*args)
+
+    monkeypatch.setattr(pareto, "_add_point", counted)
+    assert solve(running_model, cfg) == reference
+    assert len(calls) == leaves
 
 
 def _digest(result):
