@@ -122,12 +122,7 @@ def _parse_pairs(pairs, option, name):
 
 
 def cmd_validate(args):
-    try:
-        m = _load_model(args.model)
-    except ModelError as exc:
-        for diag in exc.diagnostics:
-            print(diag, file=sys.stderr)
-        return 1
+    m = _load_model(args.model)
     diags = validate_model(m, goals_mode=args.mode == "goals")
     for diag in diags:
         print(diag, file=sys.stderr)
@@ -200,8 +195,6 @@ def cmd_assess(args):
 def _solve_config(args):
     return pareto.SolveConfig(
         mode=args.mode,
-        strategy=args.strategy,
-        chunk=args.chunk,
         bounds=_parse_pairs(args.min_bound, "--min-bound", "stakeholder"),
         exclusive_bounds=args.exclusive_bounds,
     )
@@ -230,8 +223,8 @@ def _front_doc(m, result, cfg, args):
             doc_entry["rmp_count"] = sum(d["total"] for d in docs)
             doc_entry["rmps"] = docs
         entries.append(doc_entry)
-    # run parameters (strategy, chunk size) and wall-clock time are kept out
-    # of the document: identical problems must produce identical bytes
+    # wall-clock time is kept out of the document: identical problems must
+    # produce identical bytes
     return {
         "command": "solve",
         "mode": cfg.mode,
@@ -334,8 +327,6 @@ def cmd_bench(args):
         controls_per_threat=args.controls,
         seed=args.seed,
         mode=args.mode,
-        strategies=tuple(args.strategies.split(",")),
-        chunk_sizes=args.chunks,
         timeout_secs=args.timeout_secs,
     )
     records = harness.run_bench(spec)
@@ -349,6 +340,15 @@ def cmd_bench(args):
 
 def cmd_plot(args):
     m = _load_model(args.model)
+    sids = m.stakeholder_ids()
+    if args.svg and len(sids) != 2:
+        print("plot: SVG scatter requires exactly 2 stakeholders", file=sys.stderr)
+        return 1
+    points = residue.count_reduced(m)
+    if points > MAX_PLOT_POINTS:
+        print(f"plot: the residue space has {points} points, more than the "
+              f"{MAX_PLOT_POINTS} a plot lists", file=sys.stderr)
+        return 1
     cfg = _solve_config(args)
     result = pareto.solve(m, cfg)
     optimal = set()
@@ -357,7 +357,6 @@ def cmd_plot(args):
             optimal.add(vec)
 
     rows = [(obj, vec in optimal) for obj, vec in pareto.evaluated_points(m, cfg)]
-    sids = m.stakeholder_ids()
 
     buf = io.StringIO()
     header = [f"oir_{sid}" for sid in sids] + ["pareto"]
@@ -372,10 +371,6 @@ def cmd_plot(args):
         sys.stdout.write(buf.getvalue())
 
     if args.svg:
-        if len(sids) != 2:
-            print("plot: SVG scatter requires exactly 2 stakeholders",
-                  file=sys.stderr)
-            return 1
         _write_svg(args.svg, rows, sids)
     return 0
 
@@ -427,6 +422,10 @@ def _write_svg(path, rows, sids, size=640, margin=60):
 # decimal places beyond this are refused: decimal_str computes 10**places
 MAX_PRECISION = 1000
 
+# plot keeps every point of the residue space in memory, so a larger space
+# is refused before the solve
+MAX_PLOT_POINTS = 10**6
+
 
 def _int_at_least(low, high=None):
     """argparse type: an integer >= low, and <= high if given."""
@@ -446,13 +445,20 @@ def _int_at_least(low, high=None):
 
 
 def _int_list(text):
-    """argparse type: a comma-separated list of integers."""
+    """argparse type: a comma-separated list of integers >= 1."""
+    item = _int_at_least(1)
+    return tuple(item(v) for v in text.split(","))
+
+
+def _seconds(text):
+    """argparse type: a finite number of seconds >= 0."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -470,9 +476,6 @@ def build_parser():
                        default=4)
         p.add_argument("--out", default=None)
         if bounds:
-            p.add_argument("--strategy", choices=pareto.STRATEGIES,
-                           default="upfront")
-            p.add_argument("--chunk", type=_int_at_least(1), default=4096)
             p.add_argument("--min-bound", action="append", metavar="S=V",
                            help="risk-appetite lower bound, repeatable")
             p.add_argument("--exclusive-bounds", action="store_true",
@@ -513,13 +516,10 @@ def build_parser():
     p = sub.add_parser("bench", help="synthetic benchmark sweep")
     p.add_argument("--threats", type=_int_list, default="5,6",
                    help="comma list of |T|")
-    p.add_argument("--controls", type=int, default=4)
+    p.add_argument("--controls", type=_int_at_least(1), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=impact.MODES, default="goals")
-    # every strategy runs the same search, so one is the default
-    p.add_argument("--strategies", default="upfront")
-    p.add_argument("--chunks", type=_int_list, default="4096")
-    p.add_argument("--timeout-secs", type=float, default=None)
+    p.add_argument("--timeout-secs", type=_seconds, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import pareto
 from .model import (
     DEFAULT_GOALS,
+    DEFAULT_IMPACT_SCALE_MAX,
     Control,
     Goal,
     MitigationScale,
@@ -28,28 +29,24 @@ from .model import (
 )
 from .residue import count_raw, count_reduced
 
+# criteria per stakeholder, cycled; (4, 2) mirrors the running example
+CRITERIA_COUNTS = (4, 2)
+
+
 @dataclass(frozen=True)
 class BenchSpec:
     threat_counts: tuple = (5, 6)
     controls_per_threat: int = 4
     stakeholders: int = 2
-    # criteria per stakeholder, cycled; (4, 2) mirrors the running example
-    criteria_counts: tuple = (4, 2)
-    goal_count: int = 6
     seed: int = 0
     mode: str = "goals"
-    strategies: tuple = ("upfront", "chunk-collect", "chunk-carry")
-    chunk_sizes: tuple = (4096,)
     timeout_secs: float | None = None
-    impact_scale_max: int = 4
 
     def __post_init__(self):
         if not self.threat_counts or min(self.threat_counts) < 1:
             raise ValueError("threat_counts must be >= 1")
         if self.controls_per_threat < 1 or self.stakeholders < 1:
             raise ValueError("counts must be >= 1")
-        if min(self.chunk_sizes, default=1) < 1:
-            raise ValueError("chunk sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,6 @@ class BenchRecord:
     reduced_count: int
     reduction_factor: Fraction
     mode: str
-    strategy: str
-    d: int
     seconds: float
     peak_mem_mb: float
     front_size: int
@@ -75,8 +70,6 @@ class BenchRecord:
             self.reduced_count,
             f"{float(self.reduction_factor):.6g}",
             self.mode,
-            self.strategy,
-            self.d,
             f"{self.seconds:.4f}",
             f"{self.peak_mem_mb:.3f}",
             self.front_size,
@@ -102,15 +95,12 @@ def gen_instance(spec: BenchSpec, index=0, threat_count=None,
          else spec.controls_per_threat)
     rng = random.Random(f"{spec.seed}:{index}:{nt}:{q}")
 
-    goals = tuple(
-        Goal(*DEFAULT_GOALS[i]) if i < len(DEFAULT_GOALS) else Goal(f"G{i+1}", f"G{i+1}")
-        for i in range(spec.goal_count)
-    )
+    goals = tuple(Goal(*g) for g in DEFAULT_GOALS)
     goal_ids = [g.id for g in goals]
 
     stakeholders = []
     for si in range(spec.stakeholders):
-        ncrit = spec.criteria_counts[si % len(spec.criteria_counts)]
+        ncrit = CRITERIA_COUNTS[si % len(CRITERIA_COUNTS)]
         weights = _random_weights(rng, ncrit)
         criteria = tuple(
             ProtectionCriterion(f"s{si+1}p{ci+1}", f"criterion {ci+1}", w)
@@ -129,10 +119,9 @@ def gen_instance(spec: BenchSpec, index=0, threat_count=None,
         threats.append(Threat(f"T{ti+1}", f"threat {ti+1}", affected, controls))
     threats = tuple(threats)
 
-    il_max = spec.impact_scale_max
     aversion = {
         s.id: {
-            c.id: {t.id: rng.randint(0, il_max) for t in threats}
+            c.id: {t.id: rng.randint(0, DEFAULT_IMPACT_SCALE_MAX) for t in threats}
             for c in s.criteria
         }
         for s in stakeholders
@@ -143,22 +132,22 @@ def gen_instance(spec: BenchSpec, index=0, threat_count=None,
         threats=threats,
         goals=goals,
         aversion=aversion,
-        scale=MitigationScale(impact_scale_max=il_max),
+        scale=MitigationScale(),
     )
 
 
-def _deadline(spec):
-    if spec.timeout_secs is None:
-        return None
-    return time.monotonic() + spec.timeout_secs
+def _config(spec):
+    """The solve config of a cell, with its deadline counted from now."""
+    deadline = (None if spec.timeout_secs is None
+                else time.monotonic() + spec.timeout_secs)
+    return pareto.SolveConfig(mode=spec.mode, deadline=deadline)
 
 
-def _peak_mem_mb(m, cfg):
+def _peak_mem_mb(m, spec):
     """Peak traced allocation, in MB, of one more solve of the cell, from
     the traced size before it; a solve that times out reports its peak so
     far."""
-    # imported here: it brings in pickle, and every msrmp.cli start imports
-    # this module
+    # imported here: it brings in pickle, which only a bench run needs
     import tracemalloc
 
     started = not tracemalloc.is_tracing()
@@ -167,7 +156,7 @@ def _peak_mem_mb(m, cfg):
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        pareto.solve(m, cfg)
+        pareto.solve(m, _config(spec))
     except pareto.SolveTimeout:
         pass
     finally:
@@ -178,44 +167,34 @@ def _peak_mem_mb(m, cfg):
 
 
 def run_bench(spec: BenchSpec):
-    """One record per (instance, strategy, chunk size) cell.  A cell hitting
-    the timeout is recorded with timed_out=1, not raised."""
+    """One record per instance, each solved once.  An instance hitting the
+    timeout is recorded with timed_out=1, not raised."""
     records = []
     for index, nt in enumerate(spec.threat_counts):
         m = gen_instance(spec, index=index, threat_count=nt)
         raw = count_raw(m)
         reduced = count_reduced(m)
-        for strategy in spec.strategies:
-            for d in spec.chunk_sizes:
-                cfg = pareto.SolveConfig(
-                    mode=spec.mode, strategy=strategy, chunk=d,
-                    deadline=_deadline(spec),
-                )
-                t0 = time.perf_counter()
-                timed_out = False
-                front_size = 0
-                try:
-                    result = pareto.solve(m, cfg)
-                    front_size = len(result)
-                except pareto.SolveTimeout:
-                    timed_out = True
-                elapsed = time.perf_counter() - t0
-                rec = BenchRecord(
-                    threats=nt,
-                    controls_total=nt * spec.controls_per_threat,
-                    raw_count=raw,
-                    reduced_count=reduced,
-                    reduction_factor=Fraction(raw, reduced),
-                    mode=spec.mode,
-                    strategy=strategy,
-                    d=d,
-                    seconds=elapsed,
-                    peak_mem_mb=_peak_mem_mb(
-                        m, dataclasses.replace(cfg, deadline=_deadline(spec))),
-                    front_size=front_size,
-                    timed_out=timed_out,
-                )
-                records.append(rec)
+        cfg = _config(spec)
+        t0 = time.perf_counter()
+        timed_out = False
+        front_size = 0
+        try:
+            front_size = len(pareto.solve(m, cfg))
+        except pareto.SolveTimeout:
+            timed_out = True
+        elapsed = time.perf_counter() - t0
+        records.append(BenchRecord(
+            threats=nt,
+            controls_total=nt * spec.controls_per_threat,
+            raw_count=raw,
+            reduced_count=reduced,
+            reduction_factor=Fraction(raw, reduced),
+            mode=spec.mode,
+            seconds=elapsed,
+            peak_mem_mb=_peak_mem_mb(m, spec),
+            front_size=front_size,
+            timed_out=timed_out,
+        ))
     return records
 
 

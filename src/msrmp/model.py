@@ -94,27 +94,18 @@ def decimal_str(q, places=4):
 def exact_str(q):
     """Canonical exact rendering: a finite decimal when one exists, else p/q."""
     q = Fraction(q)
-    den = q.denominator
+    den, twos, fives = q.denominator, 0, 0
     while den % 2 == 0:
         den //= 2
+        twos += 1
     while den % 5 == 0:
         den //= 5
-    if den == 1:
-        # finite decimal expansion
-        places = 0
-        d = q.denominator
-        while d % 2 == 0:
-            d //= 2
-            places += 1
-        twos = places
-        d = q.denominator
-        fives = 0
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        places = max(twos, fives)
-        return decimal_str(q, places) if places else str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        fives += 1
+    if den != 1:
+        return f"{q.numerator}/{q.denominator}"
+    # a finite decimal expansion
+    places = max(twos, fives)
+    return decimal_str(q, places) if places else str(q.numerator)
 
 
 @dataclass(frozen=True)

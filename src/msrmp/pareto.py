@@ -22,8 +22,6 @@ from . import impact
 from .model import RiskModel
 from .residue import count_raw, residue_space, vector_at
 
-STRATEGIES = ("upfront", "chunk-collect", "chunk-carry")
-
 # solve_direct_oracle refuses raw policy spaces larger than this
 ORACLE_CAP = 10**6
 
@@ -35,8 +33,8 @@ class SolveTimeout(Exception):
 @dataclass(frozen=True)
 class SolveConfig:
     mode: str = "goals"
+    # only "upfront"; kept while benchmark/worker.py still passes it
     strategy: str = "upfront"
-    chunk: int = 4096
     # lower bounds on the objective per stakeholder id (risk appetite)
     bounds: dict = field(default_factory=dict)
     exclusive_bounds: bool = False
@@ -45,10 +43,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in impact.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.strategy not in STRATEGIES:
+        if self.strategy != "upfront":
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.chunk < 1:
-            raise ValueError("chunk size must be >= 1")
         if any(Fraction(v) < 0 for v in self.bounds.values()):
             raise ValueError("risk-appetite bounds must be nonnegative")
 
@@ -432,8 +428,7 @@ def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     risk-appetite filtering.  An empty feasible set yields an empty front, not
     an exception.
 
-    The front is found by one branch-and-bound search (_search), so
-    cfg.strategy and cfg.chunk are accepted but select nothing.  Each
+    The front is found by one branch-and-bound search (_search).  Each
     entry's witnesses are listed in enumeration order, as the flat culling
     of evaluated_points by front() lists them."""
     space, ev, tests = _prepare(m, cfg)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -57,12 +58,21 @@ def test_usage_error_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["assess", str(RUNNING), "--precision", "-1"],
     ["count", str(RUNNING), "--precision", "x"],
+    # --chunk, --chunks and --strategy are not options
     ["solve", str(SMALL), "--chunk", "0"],
     ["bench", "--threats", "2,x"],
     ["bench", "--chunks", "2,x"],
     ["count", str(RUNNING), "--precision", "100000000"],
     ["solve", str(SMALL), "--with-rmps", "--limit", "-1"],
     ["map-back", str(SMALL), "--limit", "-1"],
+    ["solve", str(SMALL), "--strategy", "upfront"],
+    ["bench", "--controls", "0"],
+    ["bench", "--controls", "-3"],
+    ["bench", "--threats", "0"],
+    ["bench", "--threats", "2,0"],
+    ["bench", "--timeout-secs", "nan"],
+    ["bench", "--timeout-secs", "inf"],
+    ["bench", "--timeout-secs", "-1"],
 ])
 def test_bad_option_values_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -447,28 +457,34 @@ def test_plot_svg_needs_two_stakeholders(tmp_path, capsys):
                          "--svg", str(tmp_path / "x.svg"))
     assert code == 1
     assert "exactly 2 stakeholders" in err
+    assert out == ""
+
+
+def test_plot_refuses_a_large_space(tmp_path_factory, capsys):
+    """The criterion-9 instance is refused with its count before the solve."""
+    doc = _seed9_doc(tmp_path_factory, 7, 4)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "plot", str(doc))
+    assert time.perf_counter() - t0 < 10
+    assert code == 1
+    assert "2097152 points" in err
+    assert out == ""
 
 
 def test_bench_csv(capsys):
-    code, out, err = run(capsys, "bench", "--threats", "2", "--controls", "2",
-                         "--strategies", "upfront", "--chunks", "4")
+    code, out, err = run(capsys, "bench", "--threats", "2", "--controls", "2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("threats,controls_total,raw_count")
     assert len(lines) == 2
-    assert lines[1].startswith("2,4,64,16,4,goals,upfront,4,")
+    assert lines[1].startswith("2,4,64,16,4,goals,")
 
 
-def test_bench_defaults_to_one_strategy(capsys):
-    """Every strategy runs the same search, so by default each (|T|, chunk)
-    cell is solved once."""
-    code, out, err = run(capsys, "bench", "--threats", "2,3", "--controls", "2",
-                         "--chunks", "4,8")
+def test_bench_writes_one_row_per_threat_count(capsys):
+    code, out, err = run(capsys, "bench", "--threats", "2,3", "--controls", "2")
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [(r[0], r[6], r[7]) for r in rows] == [
-        ("2", "upfront", "4"), ("2", "upfront", "8"),
-        ("3", "upfront", "4"), ("3", "upfront", "8")]
+    assert [(r[0], r[5]) for r in rows] == [("2", "goals"), ("3", "goals")]
 
 
 def test_cli_start_does_not_import_harness():

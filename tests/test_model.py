@@ -69,6 +69,16 @@ def test_exact_str_round_trips_through_rat(q):
     assert rat(exact_str(q)) == q
 
 
+@given(st.integers(-10**12, 10**12), st.integers(0, 40), st.integers(0, 40),
+       st.integers(1, 10**6))
+def test_exact_str_is_a_decimal_iff_the_denominator_is_2a5b(num, a, b, other):
+    q = Fraction(num, 2**a * 5**b * other)
+    text = exact_str(q)
+    assert Fraction(text) == q
+    # other < 2**20 and 5**9, so 10**60 holds every power of 2 and 5 of q
+    assert ("/" not in text) == (10**60 % q.denominator == 0)
+
+
 def test_parse_fixture_documents():
     running = parse_model(RUNNING.read_bytes())
     assert running.stakeholder_ids() == ["DS", "DC"]

@@ -103,10 +103,9 @@ def test_front_matches_brute_force(pts):
 def test_solve_config_validation():
     with pytest.raises(ValueError, match="unknown mode"):
         SolveConfig(mode="nope")
-    with pytest.raises(ValueError, match="unknown strategy"):
-        SolveConfig(strategy="nope")
-    with pytest.raises(ValueError, match="chunk size"):
-        SolveConfig(chunk=0)
+    for strategy in ("nope", "chunk-carry"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            SolveConfig(strategy=strategy)
     with pytest.raises(ValueError, match="nonnegative"):
         SolveConfig(bounds={"DS": F(-1, 2)})
 
@@ -183,21 +182,6 @@ def _instance(index, nt, q, seed=77, stakeholders=2):
 
 # shapes kept small enough for brute force / repeated solving
 _SHAPES = [(1, 1), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1)]
-
-
-@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
-       st.sampled_from(["criteria", "goals"]))
-@settings(max_examples=40, deadline=None)
-def test_strategies_agree(index, shape, mode):
-    m = _instance(index, *shape)
-    cfgs = [
-        SolveConfig(mode=mode, strategy="upfront"),
-        SolveConfig(mode=mode, strategy="chunk-collect", chunk=3),
-        SolveConfig(mode=mode, strategy="chunk-carry", chunk=3),
-        SolveConfig(mode=mode, strategy="chunk-carry", chunk=1),
-    ]
-    fronts = [solve(m, cfg) for cfg in cfgs]
-    assert all(f == fronts[0] for f in fronts[1:])
 
 
 def _impact_free(m, tid):
