@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation or model error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -349,35 +348,41 @@ def cmd_plot(args):
         print(f"plot: the residue space has {points} points, more than the "
               f"{MAX_PLOT_POINTS} a plot lists", file=sys.stderr)
         return 1
+    # imported here: it is an extension module that only plot needs
+    from array import array
+
     cfg = _solve_config(args)
     result = pareto.solve(m, cfg)
-    optimal = set()
-    for entry in result.entries:
-        for vec in entry.residues:
-            optimal.add(vec)
-
-    rows = [(obj, vec in optimal) for obj, vec in pareto.evaluated_points(m, cfg)]
-
-    buf = io.StringIO()
-    header = [f"oir_{sid}" for sid in sids] + ["pareto"]
-    buf.write(",".join(header) + "\n")
-    for obj, flag in rows:
-        cells = [decimal_str(v, args.precision) for v in obj] + [str(int(flag))]
-        buf.write(",".join(cells) + "\n")
+    optimal = {vec for entry in result.entries for vec in entry.residues}
+    # the SVG's x, y pairs, of the cloud (False) and of the front (True)
+    points = {False: array("d"), True: array("d")} if args.svg else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            _write_cloud(m, cfg, optimal, args.precision, fh, points)
     else:
-        sys.stdout.write(buf.getvalue())
+        _write_cloud(m, cfg, optimal, args.precision, sys.stdout, points)
 
     if args.svg:
-        _write_svg(args.svg, rows, sids)
+        _write_svg(args.svg, points, sids)
     return 0
 
 
-def _write_svg(path, rows, sids, size=640, margin=60):
-    xs = [float(obj[0]) for obj, _ in rows]
-    ys = [float(obj[1]) for obj, _ in rows]
+def _write_cloud(m, cfg, optimal, precision, fh, points):
+    """Write the CSV of every feasible point, each row as it is evaluated;
+    points, if given, collects the two objectives of each as floats."""
+    header = [f"oir_{sid}" for sid in m.stakeholder_ids()] + ["pareto"]
+    fh.write(",".join(header) + "\n")
+    for obj, vec in pareto.evaluated_points(m, cfg):
+        flag = vec in optimal
+        cells = [decimal_str(v, precision) for v in obj] + [str(int(flag))]
+        fh.write(",".join(cells) + "\n")
+        if points is not None:
+            points[flag].extend((float(obj[0]), float(obj[1])))
+
+
+def _write_svg(path, points, sids, size=640, margin=60):
+    xs = points[False][0::2] + points[True][0::2]
+    ys = points[False][1::2] + points[True][1::2]
     if not xs:
         xmin = ymin = 0.0
         xrange = yrange = 1.0
@@ -393,7 +398,7 @@ def _write_svg(path, rows, sids, size=640, margin=60):
     def sy(v):
         return size - margin - (v - ymin) / yrange * (size - 2 * margin)
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
@@ -402,28 +407,22 @@ def _write_svg(path, rows, sids, size=640, margin=60):
         f'<text x="16" y="{size // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {size // 2})">oir({sids[1]})</text>',
     ]
-    for (obj, flag), x, y in zip(rows, xs, ys):
-        if not flag:
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2" '
-                f'fill="steelblue" fill-opacity="0.5"/>'
-            )
-    for (obj, flag), x, y in zip(rows, xs, ys):
-        if flag:
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="5" '
-                f'fill="green"/>'
-            )
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write("\n".join(head) + "\n")
+        # the cloud first, so the front is drawn over it
+        for flag, style in ((False, 'r="2" fill="steelblue" fill-opacity="0.5"'),
+                            (True, 'r="5" fill="green"')):
+            pairs = points[flag]
+            for x, y in zip(pairs[0::2], pairs[1::2]):
+                fh.write(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" {style}/>\n')
+        fh.write("</svg>\n")
 
 
 # decimal places beyond this are refused: decimal_str computes 10**places
 MAX_PRECISION = 1000
 
-# plot keeps every point of the residue space in memory, so a larger space
-# is refused before the solve
+# plot evaluates every point of the residue space, and --svg keeps two
+# floats of each, so a larger space is refused before the solve
 MAX_PLOT_POINTS = 10**6
 
 

@@ -47,6 +47,9 @@ class BenchSpec:
             raise ValueError("threat_counts must be >= 1")
         if self.controls_per_threat < 1 or self.stakeholders < 1:
             raise ValueError("counts must be >= 1")
+        # a NaN deadline never passes and a negative one always has
+        if self.timeout_secs is not None and not self.timeout_secs >= 0:
+            raise ValueError("timeout_secs must be a number >= 0")
 
 
 @dataclass(frozen=True)

@@ -285,13 +285,11 @@ def _bisect(front, before):
     return lo
 
 
-def _dominated(front, ideal, planar):
+def _dominated(front, ideal, lo, planar):
     """True iff an entry of the front, sorted by r0, strictly dominates the
-    point whose component s is the ratio ideal[s] = (num, den).  Only
-    entries with r0 <= the point's can; with one or two objectives the last
-    of them has the least r1, so it decides alone."""
-    n0, d0 = ideal[0]
-    lo = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1])
+    point whose component s is the ratio ideal[s] = (num, den).  Only the
+    first lo entries, those with r0 <= the point's, can; with one or two
+    objectives the last of them has the least r1, so it decides alone."""
     for (nums, den), _ in front[max(lo - 1, 0) if planar else 0:lo]:
         strict = False
         for e, (n, d) in zip(nums, ideal):
@@ -306,7 +304,7 @@ def _dominated(front, ideal, planar):
     return False
 
 
-def _separated(front, ideal, nums, den, box):
+def _separated(front, ideal, lo, nums, den, box):
     """With two objectives: True iff a line w.y = L, which no completion of
     the node lies below, leaves every completion strictly dominated.
 
@@ -317,9 +315,10 @@ def _separated(front, ideal, nums, den, box):
     bracket the ideal point, L is the exact minimum of w.y over the
     completions, and every nadir inside the ideal box must lie on or below
     the line.  That bounds the entries there strictly below it too.  An
-    ideal point raised to the bounds leaves out only infeasible completions."""
-    (n0, d0), (n1, d1) = ideal
-    first = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1]) - 1
+    ideal point raised to the bounds leaves out only infeasible completions.
+    lo is _dominated's: the number of entries with r0 <= the ideal point's."""
+    n1, d1 = ideal[1]
+    first = lo - 1
     last = _bisect(front, lambda key: key[0][1] * d1 > n1 * key[1])
     if first < 0 or last <= first or last == len(front):
         return False
@@ -337,25 +336,59 @@ def _separated(front, ideal, nums, den, box):
     return True
 
 
+def _threat_order(tables):
+    """Threat indices in the order the search branches on them: by the sum
+    of two scores, each relative to its greatest value over the threats,
+    highest first, ties in model order.  One is the threat's swing in the
+    common denominator, d_T x_T from its lowest to its highest residue (0
+    in criteria mode).  The other is the spread across stakeholders of its
+    ratio n_Ts / d_T, the value its weight pulls objective s towards (n_Ts
+    itself in criteria mode, which has no denominator): how far the threat
+    sets the stakeholders apart.  Fixing such threats first narrows the
+    ideal box of a node most."""
+    swings, spreads = [], []
+    for rows in tables:
+        (nums, den), (_, den_lo) = rows[0], rows[-1]
+        ratios = [Fraction(n, den or 1) for n in nums]
+        swings.append(den - den_lo)
+        spreads.append(max(ratios) - min(ratios))
+    top_swing = max(swings) or 1
+    top_spread = max(spreads) or 1
+    return sorted(range(len(tables)), key=lambda i: -(
+        Fraction(swings[i], top_swing) + spreads[i] / top_spread))
+
+
 def _search(ev, tests, exclusive, deadline):
     """The front of the feasible points, as culled (key, ordinals) pairs,
     by a depth-first branch and bound over the mixed-radix digit tree.
 
-    A node fixes the leading digits.  It is pruned when every completion is
-    strictly dominated by the front so far: when an entry strictly
-    dominates the ideal point of the completions, or, with two objectives,
-    when a weighted-sum line below them shows it (_separated).  It is also
-    pruned when the maximum over its completions of a bounded objective
-    fails its bound.  Otherwise a bounded component of the ideal point
-    below its bound is raised to it: the feasible completions all lie on or
-    above the raised point, so the dominance tests stay exact.  Equality
-    never prunes, so no tied witness is lost.
-    The last digit runs as one flat row loop through _add_point, lowest
-    residue first, as every digit is tried."""
+    The tree branches on the threats in the fixed order of _threat_order,
+    and a node fixes the digits of the leading threats of that order.  A
+    node is pruned when every completion is strictly dominated by the front
+    so far: when an entry strictly dominates the ideal point of the
+    completions, or, with two objectives, when a weighted-sum line below
+    them shows it (_separated).  It is also pruned when the maximum over its
+    completions of a bounded objective fails its bound.  Otherwise a bounded
+    component of the ideal point below its bound is raised to it: the
+    feasible completions all lie on or above the raised point, so the
+    dominance tests stay exact.  Equality never prunes, so no tied witness
+    is lost.
+    The last threat's digit runs as one flat row loop through _add_point,
+    lowest residue first, as every digit is tried.  A witness ordinal sums
+    each digit times its threat's place in the model's mixed-radix order,
+    so the ordinals, and the order solve sorts witnesses in, are those of
+    the flat pass whatever order the search branches in."""
     dims = len(ev.model.stakeholders)
     zero = (0,) * dims
     tables = ev.tables or [[(zero, 0)]]
     n = len(tables)
+    # places[i]: the mixed-radix place of threat i in the model's order
+    places = [1] * n
+    for i in range(n - 2, -1, -1):
+        places[i] = places[i + 1] * len(tables[i + 1])
+    order = _threat_order(tables)
+    tables = [tables[i] for i in order]
+    places = [places[i] for i in order]
     planar = dims <= 2
     # box[k][s]: _extreme's rows of stakeholder s over threats k.., and the
     # sums of their lo and of their hi rows; residues descend, so a table's
@@ -368,9 +401,6 @@ def _search(ev, tests, exclusive, deadline):
             per_s.append((rows, (sum(r[0] for r in rows), sum(r[1] for r in rows)),
                           (sum(r[2] for r in rows), sum(r[3] for r in rows))))
         box.append(per_s)
-    places = [1] * n
-    for k in range(n - 2, -1, -1):
-        places[k] = places[k + 1] * len(tables[k + 1])
     add_point = _add_point  # looked up per call, so a replaced one is used
     front = []
     stack = [(0, zero, ev.base, 0)]
@@ -386,13 +416,15 @@ def _search(ev, tests, exclusive, deadline):
         for si, p, q in tests:
             if ideal[si][0] * q < p * ideal[si][1]:
                 ideal[si] = (p, q)
-        if (_dominated(front, ideal, planar)
-                or dims == 2 and _separated(front, ideal, nums, den, box[k])):
+        n0, d0 = ideal[0]
+        lo = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1])
+        if (_dominated(front, ideal, lo, planar)
+                or dims == 2 and _separated(front, ideal, lo, nums, den, box[k])):
             continue
         table = tables[k]
+        place = places[k]
         if k < n - 1:
             # pushed highest residue first, so the lowest is popped first
-            place = places[k]
             for d, (row_nums, row_den) in enumerate(table):
                 stack.append((k + 1, tuple(map(add, nums, row_nums)),
                               den + row_den, base + d * place))
@@ -403,7 +435,7 @@ def _search(ev, tests, exclusive, deadline):
             leaf_den = den + row_den
             if not any(_fails(leaf[si], leaf_den, p, q, exclusive)
                        for si, p, q in tests):
-                add_point(front, (leaf, leaf_den), [base + d])
+                add_point(front, (leaf, leaf_den), [base + d * place])
     return front
 
 

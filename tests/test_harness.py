@@ -50,6 +50,10 @@ def test_bench_spec_validation():
         BenchSpec(threat_counts=(0,))
     with pytest.raises(ValueError):
         BenchSpec(controls_per_threat=0)
+    for timeout in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout_secs"):
+            BenchSpec(timeout_secs=timeout)
+    assert BenchSpec(timeout_secs=0.0).timeout_secs == 0.0
 
 
 def test_run_bench_records_and_csv():

@@ -226,16 +226,9 @@ def test_weak_pruning_shape_matches_flat_reference():
     assert solve(m, cfg) == front(evaluated_points(m, cfg))
 
 
-@pytest.mark.parametrize("exclusive, leaves", [(False, 2561), (True, 3853)])
-def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
-                                                exclusive, leaves):
-    """Criterion 5: the ideal point raised to the bounds prunes subtrees the
-    bare ideal point keeps (3,847 leaves without the clip).  Every entry
-    lies strictly above an exclusive bound, so there the clip never prunes,
-    but the front stays exact either way."""
-    cfg = SolveConfig(bounds={"DS": F(45, 100), "DC": F(55, 100)},
-                      exclusive_bounds=exclusive)
-    reference = front(evaluated_points(running_model, cfg))
+def _leaves(monkeypatch, m, cfg):
+    """The solve of m, and the number of leaves its search sends through
+    the culling step."""
     calls = []
     add_point = pareto._add_point
 
@@ -244,8 +237,57 @@ def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
         return add_point(*args)
 
     monkeypatch.setattr(pareto, "_add_point", counted)
-    assert solve(running_model, cfg) == reference
-    assert len(calls) == leaves
+    return solve(m, cfg), len(calls)
+
+
+@pytest.mark.parametrize("exclusive, leaves", [(False, 322), (True, 7723)])
+def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
+                                                exclusive, leaves):
+    """Criterion 5, in the threat order of _threat_order: the ideal point
+    raised to the bounds prunes subtrees the bare ideal point keeps (7,669
+    leaves without the clip).  Every entry lies strictly above an exclusive
+    bound, so there the clip never prunes, but the front stays exact either
+    way."""
+    cfg = SolveConfig(bounds={"DS": F(45, 100), "DC": F(55, 100)},
+                      exclusive_bounds=exclusive)
+    result, count = _leaves(monkeypatch, running_model, cfg)
+    assert result == front(evaluated_points(running_model, cfg))
+    assert count == leaves
+
+
+def test_threat_order_cuts_the_goals_t6_search(monkeypatch):
+    """Seed-9 |T|=6, q=4 in goals mode: the search in model order sends
+    5,216 leaves through culling, in the threat order of _threat_order
+    1,352."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=6, controls_per_threat=4)
+    result, count = _leaves(monkeypatch, m, SolveConfig(mode="goals"))
+    assert len(result) == 160
+    assert count == 1352
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
+       st.sampled_from(["criteria", "goals"]), st.integers(2, 4),
+       st.sampled_from([None, False, True]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_permuted_threats_permute_the_witnesses(index, shape, mode, stakeholders,
+                                                exclusive, data):
+    """The search branches in an order of its own, but a model whose threats
+    are listed in another order has the same front, each witness permuted
+    to match.  Bounds, when drawn, sit on the values of front entries."""
+    m = _instance(index, *shape, stakeholders=stakeholders)
+    perm = data.draw(st.permutations(range(len(m.threats))))
+    permuted = dataclasses.replace(m, threats=tuple(m.threats[i] for i in perm))
+    bounds = {}
+    if exclusive is not None:
+        objectives = solve(m, SolveConfig(mode=mode)).objectives()
+        for s, sid in enumerate(m.stakeholder_ids()):
+            if data.draw(st.booleans()):
+                bounds[sid] = data.draw(st.sampled_from(objectives))[s]
+    cfg = SolveConfig(mode=mode, bounds=bounds, exclusive_bounds=bool(exclusive))
+    result, other = solve(m, cfg), solve(permuted, cfg)
+    assert other.objectives() == result.objectives()
+    for a, b in zip(result.entries, other.entries):
+        assert {tuple(vec[i] for i in perm) for vec in a.residues} == set(b.residues)
 
 
 def _digest(result):
