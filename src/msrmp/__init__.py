@@ -11,7 +11,7 @@ from .mapback import count_rmps, enumerate_rmps
 from .model import ModelError, RiskModel, parse_model, render_model, validate_model
 from .pareto import (ParetoFront, SolveConfig, dominates, evaluated_points, front,
                      solve, solve_direct_oracle)
-from .residue import count_raw, count_reduced, iter_points, residue_set, residue_space
+from .residue import count_raw, count_reduced, residue_set, residue_space
 
 __all__ = [
     "ModelError",
@@ -27,7 +27,6 @@ __all__ = [
     "evaluated_points",
     "front",
     "impact_level",
-    "iter_points",
     "ntc",
     "objective",
     "observation_weight",

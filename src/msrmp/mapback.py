@@ -50,6 +50,13 @@ class RmpEnumeration:
     truncated: bool
 
 
+def _check_limit(limit):
+    """Refuse a listing limit that is neither None nor an int >= 0."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)
+                              or limit < 0):
+        raise ValueError(f"limit must be None or an integer >= 0, got {limit!r}")
+
+
 def _instance(m, tid, x):
     """One threat's instance: (grid, counts, target).  grid pairs each
     scaled level, descending, with the scale's own Fraction; counts is the
@@ -128,6 +135,7 @@ def listing(m: RiskModel, tid, x, heads, limit=None) -> list:
     the control positions j: lexicographic over control positions with
     higher levels first.  At most limit assignments are listed; an
     unachievable residue raises even when limit is 0."""
+    _check_limit(limit)
     grid, counts, target = _instance(m, tid, x)
     if limit == 0:
         return []
@@ -155,6 +163,7 @@ def listing_counts(m: RiskModel, vectors, limit=None) -> list:
     per vector.  Without a limit, before anything is listed, a threat with
     more than MAX_ASSIGNMENTS assignments is refused, and then so is a
     listing whose total over all threats and vectors exceeds it."""
+    _check_limit(limit)
     per_vector = []
     for x in vectors:
         counts = {}

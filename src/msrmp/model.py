@@ -8,7 +8,7 @@ like "0.725" parses to 29/40; a value like "5/6" is accepted too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -230,6 +230,16 @@ def _objects(value, path, errors):
     return out
 
 
+def _ident(obj, path, errors):
+    """(id, name) of a document object; the name defaults to the id.  A
+    missing, null or empty id is diagnosed and read as empty."""
+    ident = obj.get("id")
+    ident = "" if ident is None else str(ident)
+    if not ident:
+        errors.append(f"{path}.id: missing")
+    return ident, str(obj.get("name", ident))
+
+
 def _mapping(value, path, errors):
     """A document object; anything else is diagnosed and read as empty."""
     if isinstance(value, dict):
@@ -287,10 +297,8 @@ def parse_model(document) -> RiskModel:
     if goals_doc is None:
         goals = tuple(Goal(i, n) for i, n in DEFAULT_GOALS)
     else:
-        goals = tuple(
-            Goal(str(g.get("id", "")), str(g.get("name", g.get("id", ""))))
-            for _, g in _objects(goals_doc, "goals", errors)
-        )
+        goals = tuple(Goal(*_ident(g, f"goals[{gi}]", errors))
+                      for gi, g in _objects(goals_doc, "goals", errors))
     goal_ids = [g.id for g in goals]
     if len(set(goal_ids)) != len(goal_ids):
         bad("goals: duplicate goal id")
@@ -298,38 +306,32 @@ def parse_model(document) -> RiskModel:
     stakeholders = []
     for si, s in _objects(document.get("stakeholders", []), "stakeholders", errors):
         path = f"stakeholders[{si}]"
-        sid = str(s.get("id", ""))
-        if not sid:
-            bad(f"{path}.id: missing")
+        sid, name = _ident(s, path, errors)
         criteria = []
         for ci, c in _objects(s.get("criteria", []), f"{path}.criteria", errors):
             cpath = f"{path}.criteria[{ci}]"
-            cid = str(c.get("id", ""))
-            if not cid:
-                bad(f"{cpath}.id: missing")
+            cid, cname = _ident(c, cpath, errors)
             try:
                 weight = rat(c.get("weight", 0), f"{cpath}.weight")
             except ModelError as exc:
                 errors.extend(exc.diagnostics)
                 weight = Fraction(0)
-            criteria.append(ProtectionCriterion(cid, str(c.get("name", cid)), weight))
-        stakeholders.append(Stakeholder(sid, str(s.get("name", sid)), tuple(criteria)))
+            criteria.append(ProtectionCriterion(cid, cname, weight))
+        stakeholders.append(Stakeholder(sid, name, tuple(criteria)))
     stakeholders = tuple(stakeholders)
 
     threats = []
     for ti, t in _objects(document.get("threats", []), "threats", errors):
         path = f"threats[{ti}]"
-        tid = str(t.get("id", ""))
-        if not tid:
-            bad(f"{path}.id: missing")
+        tid, name = _ident(t, path, errors)
         controls = tuple(
-            Control(str(c.get("id", "")), str(c.get("name", c.get("id", ""))))
-            for _, c in _objects(t.get("controls", []), f"{path}.controls", errors)
+            Control(*_ident(c, f"{path}.controls[{ci}]", errors))
+            for ci, c in _objects(t.get("controls", []), f"{path}.controls", errors)
         )
         tgoals = tuple(
             str(g) for g in _entries(t.get("goals", []), f"{path}.goals", errors)
         )
-        threats.append(Threat(tid, str(t.get("name", tid)), tgoals, controls))
+        threats.append(Threat(tid, name, tgoals, controls))
     threats = tuple(threats)
 
     aversion = {}
@@ -527,8 +529,3 @@ def render_model(m: RiskModel) -> dict:
             for t in m.threats
         }
     return doc
-
-
-def with_assignment(m: RiskModel, assignment) -> RiskModel:
-    """A copy of the model carrying the given fixed assignment."""
-    return replace(m, assignment=assignment)

@@ -19,7 +19,7 @@ from math import lcm
 from operator import add
 
 from . import impact
-from .model import RiskModel
+from .model import RiskModel, rat
 from .residue import count_raw, residue_space, vector_at
 
 # solve_direct_oracle refuses raw policy spaces larger than this
@@ -45,18 +45,18 @@ class SolveConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.strategy != "upfront":
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if any(Fraction(v) < 0 for v in self.bounds.values()):
+        # exact copies, so that neither a binary float nor a later change
+        # to the caller's dict reaches the solve
+        bounds = {sid: rat(v, f"bounds.{sid}") for sid, v in self.bounds.items()}
+        if any(v < 0 for v in bounds.values()):
             raise ValueError("risk-appetite bounds must be nonnegative")
+        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)
 class FrontEntry:
     objective: tuple          # per stakeholder, exact Fractions
     residues: tuple           # residue vectors achieving it, enumeration order
-
-    @property
-    def rmp_residue_count(self):
-        return len(self.residues)
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,6 @@ def _add_point(front, key, payload):
             e for e in front[lo:] if _compare_keys(key, e[0]) != _DOM]
 
 
-def _cull(points):
-    """The one culling pass: insert (key, payloads) pairs in arrival order."""
-    front = []
-    for key, payload in points:
-        _add_point(front, key, payload)
-    return front
-
-
 def _ratio_key(objective):
     """(nums, den) key of an exact objective point over a common denominator."""
     obj = [Fraction(v) for v in objective]
@@ -167,8 +159,11 @@ def _ratio_key(objective):
 
 def front(points) -> ParetoFront:
     """Exact non-dominated set of a finite stream of
-    (objective_point, residue_vector) pairs; equal points merge."""
-    culled = _cull((_ratio_key(obj), [tuple(res)]) for obj, res in points)
+    (objective_point, residue_vector) pairs, culled in arrival order; equal
+    points merge."""
+    culled = []
+    for obj, res in points:
+        _add_point(culled, _ratio_key(obj), [tuple(res)])
     return _assemble(culled, tuple)
 
 
@@ -193,26 +188,28 @@ class _Evaluator:
             for i, rs in enumerate(space.sets)
         ]
 
-    def bound_tests(self, bounds):
-        """Compile bounds into (stakeholder index, p, q) integer tests:
-        keep the point iff nums[i] * q >= p * den (or > when exclusive)."""
+    def bound_tests(self, bounds, exclusive):
+        """Compile exact bounds into (stakeholder index, p, q, e) integer
+        tests: keep the point iff nums[i] * q >= p * den + e, where e is 1
+        for an exclusive bound and 0 otherwise (on integers, a > b iff
+        a >= b + 1)."""
         sids = self.model.stakeholder_ids()
         tests = []
         for sid, lb in bounds.items():
             if sid not in sids:
                 raise KeyError(f"unknown stakeholder {sid!r} in bounds")
-            lb = Fraction(lb)
-            tests.append((sids.index(sid), lb.numerator, lb.denominator))
+            tests.append((sids.index(sid), lb.numerator, lb.denominator,
+                          int(exclusive)))
         return tests
 
 
-def _fails(num, den, p, q, exclusive):
-    """True iff the ratio num / den fails the bound test (i, p, q) of
+def _fails(num, den, p, q, e):
+    """True iff the ratio num / den fails the bound test (i, p, q, e) of
     _Evaluator.bound_tests."""
-    return num * q <= p * den if exclusive else num * q < p * den
+    return num * q < p * den + e
 
 
-def _feasible_keys(ev, tests, exclusive, deadline):
+def _feasible_keys(ev, tests, deadline):
     """Yield (key, ordinal) over the whole space in mixed-radix order,
     filtered by the risk-appetite bounds.  The leading threats' rows are
     summed once per head; each point then adds one row of the last threat."""
@@ -227,7 +224,7 @@ def _feasible_keys(ev, tests, exclusive, deadline):
         for row_nums, row_den in last:
             nums = tuple(map(add, head_nums, row_nums))
             den = head_den + row_den
-            if not any(_fails(nums[si], den, p, q, exclusive) for si, p, q in tests):
+            if not any(_fails(nums[si], den, p, q, e) for si, p, q, e in tests):
                 yield (nums, den), ordinal
             ordinal += 1
 
@@ -358,7 +355,7 @@ def _threat_order(tables):
         Fraction(swings[i], top_swing) + spreads[i] / top_spread))
 
 
-def _search(ev, tests, exclusive, deadline):
+def _search(ev, tests, deadline):
     """The front of the feasible points, as culled (key, ordinals) pairs,
     by a depth-first branch and bound over the mixed-radix digit tree.
 
@@ -409,11 +406,11 @@ def _search(ev, tests, exclusive, deadline):
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout
         if any(_fails(*_extreme(nums[si], den, box[k][si][2], box[k][si][0], False),
-                      p, q, exclusive) for si, p, q in tests):
+                      p, q, e) for si, p, q, e in tests):
             continue
         ideal = [_extreme(a, den, lo, rows, True)
                  for a, (rows, lo, _) in zip(nums, box[k])]
-        for si, p, q in tests:
+        for si, p, q, _ in tests:
             if ideal[si][0] * q < p * ideal[si][1]:
                 ideal[si] = (p, q)
         n0, d0 = ideal[0]
@@ -433,8 +430,8 @@ def _search(ev, tests, exclusive, deadline):
             row_nums, row_den = table[d]
             leaf = tuple(map(add, nums, row_nums))
             leaf_den = den + row_den
-            if not any(_fails(leaf[si], leaf_den, p, q, exclusive)
-                       for si, p, q in tests):
+            if not any(_fails(leaf[si], leaf_den, p, q, e)
+                       for si, p, q, e in tests):
                 add_point(front, (leaf, leaf_den), [base + d * place])
     return front
 
@@ -443,15 +440,14 @@ def _prepare(m: RiskModel, cfg: SolveConfig):
     """The residue space, its evaluator and the compiled bound tests."""
     space = residue_space(m)
     ev = _Evaluator(m, cfg.mode, space)
-    return space, ev, ev.bound_tests(cfg.bounds)
+    return space, ev, ev.bound_tests(cfg.bounds, cfg.exclusive_bounds)
 
 
 def evaluated_points(m: RiskModel, cfg: SolveConfig = SolveConfig()):
     """Yield (objective, residue vector) for every point of the residue space
     that meets the risk-appetite bounds, in enumeration order."""
     space, ev, tests = _prepare(m, cfg)
-    for (nums, den), ordinal in _feasible_keys(ev, tests, cfg.exclusive_bounds,
-                                               cfg.deadline):
+    for (nums, den), ordinal in _feasible_keys(ev, tests, cfg.deadline):
         yield tuple(Fraction(n, den) for n in nums), vector_at(space, ordinal)
 
 
@@ -464,7 +460,7 @@ def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     entry's witnesses are listed in enumeration order, as the flat culling
     of evaluated_points by front() lists them."""
     space, ev, tests = _prepare(m, cfg)
-    culled = _search(ev, tests, cfg.exclusive_bounds, cfg.deadline)
+    culled = _search(ev, tests, cfg.deadline)
     return _assemble(((key, sorted(ordinals)) for key, ordinals in culled),
                      lambda o: vector_at(space, o))
 
@@ -494,7 +490,7 @@ def solve_direct_oracle(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> Paret
     # Fraction arithmetic over the fold, independent of the integer kernel
     fold = impact._fold(m, cfg.mode)
     sids = m.stakeholder_ids()
-    bounds = [(sids.index(sid), Fraction(lb)) for sid, lb in cfg.bounds.items()]
+    bounds = [(sids.index(sid), lb) for sid, lb in cfg.bounds.items()]
 
     def points():
         for xvec in itertools.product(*per_threat):

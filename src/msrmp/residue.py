@@ -1,12 +1,14 @@
-"""Per-threat residue sets, search-space counts, and deterministic lazy
-enumeration of the cartesian residue space.
+"""Per-threat residue sets, search-space counts, and the mixed-radix order
+of the cartesian residue space.
 
 A threat with n controls and mitigation scale A admits residues
 x = 1 - sigma/n for every achievable sum sigma of n levels from A, except the
 unique all-max assignment (adopting every control fully is excluded).  The
-sets are ordered descending (1 first); the space is enumerated in mixed-radix
-order with the first threat as the most significant digit, which makes chunk
-windows and parallel splits deterministic.
+sets are ordered descending (1 first); a point of the space is numbered by
+its mixed-radix ordinal, with the first threat as the most significant
+digit.  vector_at decodes an ordinal; the enumeration itself, in ordinal
+order, is pareto.evaluated_points, and solve lists each front entry's
+witnesses in that order.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ class ResidueSet:
 
     def __len__(self):
         return len(self.residues)
-
-    def achieving_sum(self, x) -> Fraction:
-        """The mitigation-level sum sigma realizing residue x: n * (1 - x)."""
-        return self.n_controls * (1 - Fraction(x))
 
 
 def residue_set(m: RiskModel, tid) -> ResidueSet:
@@ -104,39 +102,6 @@ def vector_at(space: ResidueSpace, ordinal) -> tuple:
     for i in range(len(radices) - 1, -1, -1):
         rem, digits[i] = divmod(rem, radices[i])
     return tuple(space.sets[i].residues[d] for i, d in enumerate(digits))
-
-
-def iter_points(space: ResidueSpace, start=0, length=None):
-    """Yield (residue_vector, ordinal) for ordinals in [start, start+length),
-    without materializing the space."""
-    total = space.size
-    if length is None:
-        length = total - start
-    if start < 0 or length < 0 or start + length > total:
-        raise IndexError(
-            f"window [{start}, {start + length}) outside [0, {total})"
-        )
-    if length == 0:
-        return
-    radices = space.radices()
-    nt = len(radices)
-    digits = [0] * nt
-    rem = start
-    for i in range(nt - 1, -1, -1):
-        rem, digits[i] = divmod(rem, radices[i])
-    values = [space.sets[i].residues[digits[i]] for i in range(nt)]
-    ordinal = start
-    for _ in range(length):
-        yield tuple(values), ordinal
-        ordinal += 1
-        # odometer increment, least significant digit last
-        for i in range(nt - 1, -1, -1):
-            digits[i] += 1
-            if digits[i] < radices[i]:
-                values[i] = space.sets[i].residues[digits[i]]
-                break
-            digits[i] = 0
-            values[i] = space.sets[i].residues[0]
 
 
 def residue_of_assignment(m: RiskModel, tid, assignment) -> Fraction:

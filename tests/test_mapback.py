@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from msrmp import count_rmps, enumerate_rmps
 from msrmp.harness import BenchSpec, gen_instance
-from msrmp.mapback import assignments_for_residue, count_assignments, listing
+from msrmp.mapback import (assignments_for_residue, count_assignments, listing,
+                           listing_counts)
 from msrmp.residue import residue_of_assignment, residue_set
 
 from .conftest import scales, with_scale
@@ -111,6 +112,19 @@ def test_limit_zero_emits_nothing_but_counts_exactly(running_model):
     assert enum.truncated
     assert enum.total == 360
     assert all(a == [] for a in enum.per_threat.values())
+
+
+@pytest.mark.parametrize("limit", [-1, 2.5, True, "3"])
+def test_limit_must_be_an_int_at_least_zero(small_model, limit):
+    """A negative limit would report an empty, truncated listing and a
+    fractional one fail inside a slice; both are refused up front."""
+    x = {"T1": "0.25", "T2": "0.5", "T3": "0.5"}
+    own = {lv: lv for lv in small_model.scale.levels}
+    for call in (lambda: enumerate_rmps(small_model, x, limit=limit),
+                 lambda: listing_counts(small_model, [x], limit),
+                 lambda: listing(small_model, "T1", "0.25", [own] * 2, limit)):
+        with pytest.raises(ValueError, match="limit must be"):
+            call()
 
 
 @pytest.mark.parametrize("limit", [None, 0, 2])

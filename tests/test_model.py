@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from msrmp import ModelError, parse_model, render_model, validate_model
 from msrmp.cli import main
-from msrmp.model import decimal_str, exact_str, rat, with_assignment
+from msrmp.model import decimal_str, exact_str, rat
 
 from .conftest import RUNNING, SMALL
 
@@ -193,7 +194,7 @@ def test_with_assignment(small_model):
         "T2": {"c3": Fraction(1, 2), "c4": Fraction(1, 2)},
         "T3": {"c5": Fraction(0)},
     }
-    m2 = with_assignment(small_model, assignment)
+    m2 = dataclasses.replace(small_model, assignment=assignment)
     assert m2.assignment == assignment
     assert validate_model(m2) == []
     assert small_model.assignment is None
@@ -232,6 +233,10 @@ def test_mitigation_scale_invariants():
     ('{"mitigation_levels": ["0.' + "0" * 5000 + '1"]}',
      "mitigation_levels[0]: number longer than"),
     ('{"impact_scale_max": true}', "impact_scale_max: must be an integer"),
+    ('{"threats": [{"id": "T1", "controls": [{"name": "c"}]}]}',
+     "threats[0].controls[0].id: missing"),
+    ('{"goals": [{"name": "G"}]}', "goals[0].id: missing"),
+    ('{"threats": [{"id": null}]}', "threats[0].id: missing"),
 ])
 def test_malformed_structure_is_a_model_error(document, diagnostic):
     with pytest.raises(ModelError) as exc:

@@ -53,7 +53,6 @@ def test_front_of_known_points():
     assert len(result) == 2
     assert result.objectives() == [(F(1), F(2)), (F(2), F(1))]
     assert result.entries[0].residues == ((F(1, 4),), (F(3, 4),))
-    assert result.entries[0].rmp_residue_count == 2
 
 
 def test_front_is_idempotent():
@@ -108,6 +107,18 @@ def test_solve_config_validation():
             SolveConfig(strategy=strategy)
     with pytest.raises(ValueError, match="nonnegative"):
         SolveConfig(bounds={"DS": F(-1, 2)})
+    # bounds are exact: a binary float or a boolean is refused, a decimal
+    # string is parsed, and the config keeps its own parsed copy
+    with pytest.raises(ValueError, match="floats are not accepted"):
+        SolveConfig(bounds={"DS": 0.45})
+    with pytest.raises(ValueError, match="boolean"):
+        SolveConfig(bounds={"DS": True})
+    with pytest.raises(ValueError, match="cannot parse"):
+        SolveConfig(bounds={"DS": "half"})
+    bounds = {"DS": "0.45"}
+    cfg = SolveConfig(bounds=bounds)
+    bounds["DS"] = F(-1)
+    assert cfg.bounds == {"DS": F(9, 20)}
 
 
 def test_small_example_criteria_front(small_model):
@@ -358,6 +369,31 @@ def test_evaluated_points_cover_the_space(small_model, mode):
     assert len({vec for _, vec in points}) == len(points)
     for obj, vec in points:
         assert obj == objective(small_model, vec, mode)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
+       st.sampled_from(["criteria", "goals"]), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_bound_test_matches_fraction_filter(index, shape, mode,
+                                                    stakeholders, midway,
+                                                    exclusive, data):
+    """The integer bound test against the Fraction comparison (>= or >) of
+    the unbounded stream, with the bound on an attained value of one
+    objective or midway between two adjacent ones."""
+    m = _instance(index, *shape, stakeholders=stakeholders)
+    everything = list(evaluated_points(m, SolveConfig(mode=mode)))
+    s = data.draw(st.integers(0, stakeholders - 1))
+    values = sorted({obj[s] for obj, _ in everything})
+    i = data.draw(st.integers(0, len(values) - 1))
+    lb = values[i]
+    if midway and i + 1 < len(values):
+        lb = (lb + values[i + 1]) / 2
+    cfg = SolveConfig(mode=mode, bounds={m.stakeholder_ids()[s]: lb},
+                      exclusive_bounds=exclusive)
+    kept = [(obj, vec) for obj, vec in everything
+            if (obj[s] > lb if exclusive else obj[s] >= lb)]
+    assert list(evaluated_points(m, cfg)) == kept
 
 
 @pytest.mark.parametrize("mode", ["criteria", "goals"])

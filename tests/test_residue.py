@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrmp import count_raw, count_reduced, iter_points, residue_set, residue_space
+from msrmp import count_raw, count_reduced, residue_set, residue_space
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.residue import residue_of_assignment, vector_at
 
@@ -44,15 +44,6 @@ def test_default_scale_set_size_is_2n():
     for q in range(1, 7):
         m = gen_instance(BenchSpec(seed=3), threat_count=1, controls_per_threat=q)
         assert len(residue_set(m, "T1")) == 2 * q
-
-
-def test_achieving_sum():
-    m = gen_instance(BenchSpec(seed=3), threat_count=1, controls_per_threat=4)
-    rs = residue_set(m, "T1")
-    for x in rs.residues:
-        sigma = rs.achieving_sum(x)
-        assert sigma == 4 * (1 - x)
-        assert 0 <= sigma < 4
 
 
 def _brute_residues(m, tid):
@@ -102,35 +93,6 @@ def test_vector_at_bounds(small_model):
         vector_at(space, -1)
     with pytest.raises(IndexError):
         vector_at(space, space.size)
-
-
-def test_iter_points_matches_vector_at(running_model):
-    space = residue_space(running_model)
-    for vec, ordinal in iter_points(space, start=123, length=500):
-        assert vec == vector_at(space, ordinal)
-
-
-def test_iter_points_windows_tile_the_space(small_model):
-    space = residue_space(small_model)
-    full = list(iter_points(space))
-    assert len(full) == space.size
-    for width in (1, 3, 5, 32, 50):
-        tiled = []
-        start = 0
-        while start < space.size:
-            length = min(width, space.size - start)
-            tiled.extend(iter_points(space, start=start, length=length))
-            start += length
-        assert tiled == full
-
-
-def test_iter_points_window_validation(small_model):
-    space = residue_space(small_model)
-    with pytest.raises(IndexError):
-        list(iter_points(space, start=-1))
-    with pytest.raises(IndexError):
-        list(iter_points(space, start=0, length=space.size + 1))
-    assert list(iter_points(space, start=5, length=0)) == []
 
 
 def test_residue_of_assignment_worked_values(running_model):
