@@ -38,21 +38,17 @@ def _emit(doc, out_path):
         _write_json(doc, sys.stdout)
 
 
-class _Rows(list):
-    """A list of string-valued dicts, such as the assignments of one
-    threat, each as the tuple of its items already encoded
-    ('"key": "value"'), in order."""
-
-
-# parts, or rows of a _Rows, joined and written at once
+# parts, or rows of a group, joined and written at once
 _CHUNK = 4096
 
 
 def _write_json(doc, fh):
     """Write what json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"
-    returns, a few thousand chunks at a time, where each _Rows stands for
-    the list of dicts it encodes.  Dict keys must be strings.  A _Rows is
-    written a batch of rows at a time, each row one join."""
+    returns, a few thousand chunks at a time.  Dict keys must be strings.
+    A mapback.Listing whose rows are tuples of items already encoded
+    ('"key": "value"') stands for the list of dicts they encode; it is
+    written up to _CHUNK rows of a group at a time, in one join whose glue
+    carries the group's prefix."""
     enc = json.encoder.encode_basestring
     parts = []
 
@@ -67,20 +63,27 @@ def _write_json(doc, fh):
             flush()
         if isinstance(value, str):
             parts.append(enc(value))
-        elif isinstance(value, (dict, list, tuple)) and not value:
+        elif isinstance(value, (dict, list, tuple, mapback.Listing)) and not value:
             parts.append("{}" if isinstance(value, dict) else "[]")
-        elif type(value) is _Rows:
+        elif type(value) is mapback.Listing:
             inner = pad + "  "
             head, sep, tail = "{" + inner + "  ", "," + inner + "  ", inner + "}"
+            comma, lead = "," + inner, "[" + inner
             flush()
-            lead = "[" + inner
-            for i in range(0, len(value), _CHUNK):
-                fh.write(lead)
-                fh.write(("," + inner).join([
-                    head + sep.join(row) + tail if row else "{}"
-                    for row in value[i:i + _CHUNK]
-                ]))
-                lead = "," + inner
+            for prefix, tails in value.groups:
+                items = sep.join(prefix)
+                if tails[0]:
+                    # a row is start, its tail's items and end
+                    start, end = head + items + sep if prefix else head, tail
+                else:
+                    # the tails are empty, and end alone is the row
+                    start, end = "", head + items + tail if prefix else "{}"
+                glue = end + comma + start
+                for i in range(0, len(tails), _CHUNK):
+                    fh.write(lead + start)
+                    fh.write(glue.join(map(sep.join, tails[i:i + _CHUNK])))
+                    fh.write(end)
+                    lead = comma
             parts.append(pad + "]")
         elif isinstance(value, dict):
             inner = pad + "  "
@@ -254,9 +257,10 @@ def _rmp_docs(m, vectors, limit, precision):
     """The map-back document of each residue vector.  Every vector is
     counted before any is listed, so an oversized listing is refused at
     once.  The vectors share one map-back dict, so each distinct (threat,
-    residue) pair is listed once, as rows of encoded items."""
+    residue) pair is counted once and listed once, as groups of encoded
+    items."""
     listed = {}
-    mapback.listing_counts(m, vectors, limit)
+    mapback.listing_counts(m, vectors, limit, listed)
     enc = json.encoder.encode_basestring
     texts = [(lv, enc(exact_str(lv))) for lv in m.scale.levels]
     # per threat and control position: each level's encoded item
@@ -277,7 +281,7 @@ def _rmp_docs(m, vectors, limit, precision):
                 "threat": tid,
                 "residue": _num(xt, precision),
                 "count": enum.per_threat_counts[tid],
-                "assignments": _Rows(enum.per_threat[tid]),
+                "assignments": enum.per_threat[tid],
             })
         docs.append({
             "target": {t: _num(x, precision) for t, x in zip(tids, enum.target)},

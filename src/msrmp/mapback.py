@@ -8,12 +8,15 @@ of controls, how many level vectors reach each sum.  That one table answers
 the exact count and guides the listing: top down it tells how many completions
 each partial sum must supply, and bottom up each partial sum's completions
 are built once, as suffixes that every row ending in them shares.  The
-listing never walks into a dead end.
+listing never walks into a dead end.  The top node and its children each
+have one parent, so their rows are never built: a listing is a Listing of
+groups, each a prefix of at most two control symbols with the shared list
+of tails it extends, and a writer renders each group at once.
 
 The scale builds each table once per number of controls and keeps it, so
 solve, counts and map-back share it.  One call that maps back many vectors
-shares a `listed` dict between them, which holds the lists of
-enumerate_rmps under their (threat id, residue): every distinct pair is
+shares a `listed` dict between them, which holds the count and the list of
+each (threat id, residue) pair: every distinct pair is counted once and
 listed once.  A dict serves one model, one limit and one form of heads.
 """
 
@@ -74,24 +77,75 @@ def _instance(m, tid, x):
     return grid, counts, int(target)
 
 
+class Listing:
+    """A listing's rows as groups: each group is a prefix, the symbols of
+    the first controls, with the list of tails that it extends.  Groups
+    hold at least one tail each, and the tails of a group all have the same
+    length, so a group's rows are prefix + tail for each of its tails.
+    Tails lists may be shared between groups.  len() is the number of rows,
+    and iteration yields the rows, each as one tuple, in order."""
+
+    __slots__ = ("groups", "_len")
+
+    def __init__(self, groups=()):
+        self.groups = list(groups)
+        self._len = sum(len(tails) for _, tails in self.groups)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for prefix, tails in self.groups:
+            for tail in tails:
+                yield prefix + tail
+
+    def __eq__(self, other):
+        if isinstance(other, (Listing, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _walk(grid, counts, target, stop, heads):
     """The first stop completions of n levels summing to target, in
     lexicographic order with higher levels first, each as the tuple of
-    heads[j][i], the symbol of grid index i at position j.
+    heads[j][i], the symbol of grid index i at position j, as a Listing
+    whose prefixes hold the first min(n, 2) positions.
 
     A node is a sum left for the k positions still to fill.  Top down, each
     node gives its children, in grid order, as many completions as it still
     needs, up to each child's count, and stops once it has enough; a child
-    wants the most any parent gives it.  Bottom up, a node's list is its
-    head before each of its children's lists, cut to what it still needs,
-    and a child's list is dropped once its last parent has read it.
-    Nothing recurses and no row is walked position by position, so the
-    number of controls is not bounded by the recursion limit."""
+    wants the most any parent gives it.  Below the top two levels, bottom
+    up, a node's list is its head before each of its children's lists, cut
+    to what it still needs, and a child's list is dropped once its last
+    parent has read it.  The top node and its children each have one
+    parent, so their rows are never built: each path through them is a
+    prefix, and its tails are the list of the node it reaches, cut to what
+    the path needs.  Nothing recurses and no row is walked position by
+    position, so the number of controls is not bounded by the recursion
+    limit."""
     n = len(counts) - 1
+    top = max(n - 2, 0)
     scaled = [s for s, _ in grid]
-    wants = [None] * n + [{target: min(stop, counts[n][target])}]
-    readers = [{} for _ in range(n)]
-    for k in range(n, 0, -1):
+    # the paths through the levels above top: (prefix, node, need)
+    paths = [((), target, min(stop, counts[n][target]))]
+    for k in range(n, top, -1):
+        below, into = counts[k - 1], []
+        for prefix, s, need in paths:
+            for v, head in zip(scaled, heads[n - k]):
+                have = below.get(s - v)
+                if have:
+                    give = min(need, have)
+                    into.append((prefix + (head,), s - v, give))
+                    need -= give
+                    if not need:
+                        break
+        paths = into
+    wants = [None] * top + [{}]
+    for _, s, need in paths:
+        if wants[top].get(s, 0) < need:
+            wants[top][s] = need
+    readers = [{} for _ in range(top)]
+    for k in range(top, 0, -1):
         below, want, read = counts[k - 1], {}, readers[k - 1]
         for s, need in wants[k].items():
             for v in scaled:
@@ -106,7 +160,7 @@ def _walk(grid, counts, target, stop, heads):
                         break
         wants[k - 1] = want
     lists = {0: [()]}
-    for k in range(1, n + 1):
+    for k in range(1, top + 1):
         done, read = {}, readers[k - 1]
         for s, need in wants[k].items():
             rows = []
@@ -126,10 +180,11 @@ def _walk(grid, counts, target, stop, heads):
                     break
             done[s] = rows
         lists = done
-    return lists[target]
+    return Listing((prefix, lists[s][:need] if len(lists[s]) > need else lists[s])
+                   for prefix, s, need in paths)
 
 
-def listing(m: RiskModel, tid, x, heads, limit=None) -> list:
+def listing(m: RiskModel, tid, x, heads, limit=None) -> Listing:
     """Every assignment of scale levels to the threat's controls whose mean
     equals 1 - x, excluding all-max, as the tuple of heads[j][level] over
     the control positions j: lexicographic over control positions with
@@ -138,7 +193,7 @@ def listing(m: RiskModel, tid, x, heads, limit=None) -> list:
     _check_limit(limit)
     grid, counts, target = _instance(m, tid, x)
     if limit == 0:
-        return []
+        return Listing()
     stop = counts[-1][target] if limit is None else limit
     return _walk(grid, counts, target, stop,
                  [[h[lv] for _, lv in grid] for h in heads])
@@ -158,17 +213,22 @@ def count_assignments(m: RiskModel, tid, x) -> int:
     return counts[-1][target]
 
 
-def listing_counts(m: RiskModel, vectors, limit=None) -> list:
+def listing_counts(m: RiskModel, vectors, limit=None, listed=None) -> list:
     """Exact assignment count per threat of each residue vector, as one dict
     per vector.  Without a limit, before anything is listed, a threat with
     more than MAX_ASSIGNMENTS assignments is refused, and then so is a
-    listing whose total over all threats and vectors exceeds it."""
+    listing whose total over all threats and vectors exceeds it.  Given
+    listed, each distinct pair is counted once: its count is read from
+    there, or kept there with no list yet."""
     _check_limit(limit)
+    listed = {} if listed is None else listed
     per_vector = []
     for x in vectors:
         counts = {}
         for tid, xt in residue_vector(m, x).items():
-            counts[tid] = count_assignments(m, tid, xt)
+            if (tid, xt) not in listed:
+                listed[tid, xt] = (count_assignments(m, tid, xt), None)
+            counts[tid] = listed[tid, xt][0]
             if limit is None and counts[tid] > MAX_ASSIGNMENTS:
                 raise ValueError(
                     f"residue {xt} of threat {tid!r} has {counts[tid]} assignments, "
@@ -190,16 +250,18 @@ def enumerate_rmps(m: RiskModel, x, limit=None, listed=None,
     threat.  Every threat is counted before any is listed, and the exact
     total count is reported even when per-threat listing is truncated by
     limit.  Given heads (threat id -> listing's per-control symbol
-    tables), each list holds listing's rows, else MitigationAssignments.
-    Calls that share listed reuse the list of a pair listed before."""
+    tables), each list is listing's Listing, else MitigationAssignments.
+    Calls that share listed reuse the count and list of a pair met before."""
     xvec = residue_vector(m, x)
-    (per_counts,) = listing_counts(m, [xvec], limit)
     listed = {} if listed is None else listed
+    (per_counts,) = listing_counts(m, [xvec], limit, listed)
     for tid, xt in xvec.items():
-        if (tid, xt) not in listed:
-            listed[tid, xt] = (listing(m, tid, xt, heads[tid], limit) if heads
-                               else assignments_for_residue(m, tid, xt, limit))
-    per_threat = {tid: listed[tid, xt] for tid, xt in xvec.items()}
+        count, rows = listed[tid, xt]
+        if rows is None:
+            rows = (listing(m, tid, xt, heads[tid], limit) if heads
+                    else assignments_for_residue(m, tid, xt, limit))
+            listed[tid, xt] = (count, rows)
+    per_threat = {tid: listed[tid, xt][1] for tid, xt in xvec.items()}
     return RmpEnumeration(
         target=tuple(xvec.values()),
         per_threat=per_threat,

@@ -231,13 +231,14 @@ def _objects(value, path, errors):
 
 
 def _ident(obj, path, errors):
-    """(id, name) of a document object; the name defaults to the id.  A
-    missing, null or empty id is diagnosed and read as empty."""
+    """(id, name) of a document object; a missing or null name reads as
+    the id.  A missing, null or empty id is diagnosed and read as empty."""
     ident = obj.get("id")
     ident = "" if ident is None else str(ident)
     if not ident:
         errors.append(f"{path}.id: missing")
-    return ident, str(obj.get("name", ident))
+    name = obj.get("name")
+    return ident, ident if name is None else str(name)
 
 
 def _mapping(value, path, errors):

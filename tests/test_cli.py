@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msrmp import enumerate_rmps, mapback, model, parse_model, pareto
-from msrmp.cli import _Rows, _write_json, main
+from msrmp.cli import _write_json, main
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.model import decimal_str, exact_str, render_model
 
@@ -147,6 +147,15 @@ def test_rmps_document_bytes_are_pinned(tmp_path):
         "56f0ca865ed36e6a7a96e2038b146f8424d73fa0bbf6ee018eff875513942d03")
 
 
+def test_rmps_document_bytes_on_stdout_are_pinned(capsys):
+    """The same document written to stdout, without --out."""
+    code, out, err = run(capsys, "solve", str(RUNNING), "--min-bound", "DS=0.45",
+                         "--min-bound", "DC=0.55", "--with-rmps")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "56f0ca865ed36e6a7a96e2038b146f8424d73fa0bbf6ee018eff875513942d03")
+
+
 def test_truncated_map_back_bytes_are_pinned(tmp_path):
     """The criterion-5 map-back cut at three assignments per threat, byte
     for byte."""
@@ -265,11 +274,18 @@ def wide_doc(tmp_path_factory):
     (["solve", "--with-rmps"], 1_665_456),
     (["map-back"], 1_665_456),
 ])
-def test_oversized_listing_is_refused(capsys, wide_doc, argv, count):
+def test_oversized_listing_is_refused(capsys, tmp_path, wide_doc, argv, count):
     code, out, err = run(capsys, argv[0], str(wide_doc), *argv[1:])
     assert code == 1
     assert out == ""
     assert f"has {count} assignments" in err
+    # refused before the output file is opened
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, argv[0], str(wide_doc), *argv[1:],
+                         "--out", str(path))
+    assert code == 1
+    assert f"has {count} assignments" in err
+    assert not path.exists()
 
 
 def test_limit_bounds_an_oversized_listing(capsys, wide_doc):
@@ -356,6 +372,22 @@ def test_each_pair_is_listed_once(monkeypatch, tmp_path):
     assert main(["solve", str(RUNNING), *_CRITERION_5, "--with-rmps",
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(walks) == 24
+
+
+def test_each_pair_is_counted_once(monkeypatch, tmp_path):
+    """The up-front check and the listing share each pair's count: the
+    criterion-5 solve counts its 24 distinct pairs once each."""
+    calls = []
+    count = mapback.count_assignments
+
+    def counted(*args):
+        calls.append(args[1:])
+        return count(*args)
+
+    monkeypatch.setattr(mapback, "count_assignments", counted)
+    assert main(["solve", str(RUNNING), *_CRITERION_5, "--with-rmps",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == len(set(calls)) == 24
 
 
 def _reference_rmp(m, vec, limit):
@@ -497,16 +529,28 @@ def test_cli_start_does_not_import_harness():
 
 
 class _AsRows(list):
-    """A list of string-valued dicts that the writer is handed as _Rows."""
+    """A list of string-valued dicts that the writer is handed as the
+    mapback.Listing of its groups: each group a prefix dict with its tail
+    dicts, all of one length, and each row the prefix's items followed by
+    a tail's."""
+
+    def __init__(self, groups=()):
+        self.groups = [(prefix, list(tails)) for prefix, tails in groups]
+        super().__init__({**prefix, **tail}
+                         for prefix, tails in self.groups for tail in tails)
 
 
 def _rowed(value):
-    """value with each _AsRows replaced by the _Rows of its dicts' encoded
-    items."""
+    """value with each _AsRows replaced by the Listing of its groups, each
+    item encoded."""
     enc = json.encoder.encode_basestring
+
+    def items(row):
+        return tuple(enc(k) + ": " + enc(v) for k, v in row.items())
+
     if isinstance(value, _AsRows):
-        return _Rows(tuple(enc(k) + ": " + enc(v) for k, v in row.items())
-                     for row in value)
+        return mapback.Listing((items(prefix), [items(tail) for tail in tails])
+                               for prefix, tails in value.groups)
     if isinstance(value, dict):
         return {k: _rowed(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -518,8 +562,21 @@ _text = st.text(max_size=6)
 # ids with quotes, backslashes, control and non-ASCII characters
 _id = st.text(st.sampled_from('c1"\\\x00\x1f\x7f\u2028\u00e9\U0001f600')
               | st.characters(), max_size=6)
-# empty rows and empty lists of rows are drawn too
-_rows = st.lists(st.dictionaries(_id, _text, max_size=3), max_size=4).map(_AsRows)
+
+
+@st.composite
+def _group(draw):
+    """A prefix of up to two items and one or more tails sharing it; no
+    items at all makes rows written {}."""
+    keys = draw(st.lists(_id, unique=True, max_size=4))
+    cut = draw(st.integers(min_value=0, max_value=min(2, len(keys))))
+    prefix = {k: draw(_text) for k in keys[:cut]}
+    tail = st.fixed_dictionaries({k: _text for k in keys[cut:]})
+    return prefix, draw(st.lists(tail, min_size=1, max_size=3))
+
+
+# empty lists of rows are drawn too
+_rows = st.lists(_group(), max_size=3).map(_AsRows)
 _json_doc = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
     | st.floats() | _text | _rows,
@@ -535,8 +592,9 @@ _json_doc = st.recursive(
 @given(_json_doc)
 @settings(max_examples=300, deadline=None)
 def test_write_json_matches_json_dumps(value):
-    """Any document, with lists of pre-encoded rows at any depth, is written
-    exactly as json.dumps writes it with each row as its dict."""
+    """Any document, with grouped lists of pre-encoded rows at any depth,
+    is written exactly as json.dumps writes it with each row as its
+    dict."""
     buf = io.StringIO()
     _write_json(_rowed(value), buf)
     assert buf.getvalue() == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
@@ -548,16 +606,24 @@ class _Chunks(list):
 
 
 def test_write_json_writes_long_row_lists_in_batches():
-    """A list of rows longer than two batches, some rows empty, is written
-    in bounded chunks, and as json.dumps writes it."""
-    rows = _AsRows({f"c{j}": f"{i % 7}/{j + 1}" for j in range(i % 4)}
-                   for i in range(2 * 4096 + 3))
-    value = {"rows": rows, "after": [_AsRows(rows[:2]), _AsRows()]}
+    """A group longer than two batches, more one-row groups than a batch
+    and a group of empty rows are written in bounded chunks, and as
+    json.dumps writes them."""
+    rows = _AsRows([
+        ({"c0": "1", "c1": "0.5"},
+         [{"c2": f"{i % 7}/{i + 1}", "c3": "0"} for i in range(2 * 4096 + 3)]),
+        *(({"c0": f"{i}"}, [{}]) for i in range(4096 + 1)),
+        ({}, [{}] * 3),
+    ])
+    value = {"rows": rows, "after": [_AsRows(rows.groups[:2]), _AsRows()]}
     chunks = _Chunks()
     _write_json(_rowed(value), chunks)
     text = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-    assert "".join(chunks) == text
-    assert max(map(len, chunks)) < len(text) / 2
+    # compared apart from the assert: pytest's diff of two long texts would
+    # take minutes
+    same = "".join(chunks) == text
+    assert same, "the chunks differ from json.dumps"
+    assert max(map(len, chunks)) < len(text) / 4
 
 
 def _paths(value, path=()):

@@ -239,4 +239,7 @@ def test_shared_listing_changes_nothing(small_model, data, levels, q, limit):
         assert shared == alone
         assert list(shared.per_threat) == list(alone.per_threat)
         for t, xt in zip(m.threat_ids(), x):
-            assert shared.per_threat[t] is listed[t, xt]
+            # the shared dict holds each pair's count beside its list
+            assert listed[t, xt] == (shared.per_threat_counts[t],
+                                     shared.per_threat[t])
+            assert shared.per_threat[t] is listed[t, xt][1]

@@ -100,6 +100,20 @@ def test_render_parse_round_trip(running_model, small_model):
         json.dumps(render_model(m))
 
 
+def test_null_name_reads_as_the_id():
+    """A "name": null is read as a missing name, not as the string "None",
+    and is rendered back as the id."""
+    doc = json.loads(SMALL.read_text())
+    doc["threats"][0]["name"] = None
+    doc["stakeholders"][0]["name"] = None
+    m = parse_model(json.dumps(doc))
+    threat, stakeholder = m.threats[0], m.stakeholders[0]
+    assert (threat.name, stakeholder.name) == (threat.id, stakeholder.id)
+    rendered = render_model(m)
+    assert rendered["threats"][0]["name"] == threat.id
+    assert rendered["stakeholders"][0]["name"] == stakeholder.id
+
+
 def test_parse_accepts_str_bytes_and_file():
     text = RUNNING.read_text()
     with open(RUNNING, "rb") as fh:
