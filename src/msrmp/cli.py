@@ -8,8 +8,6 @@ Machine output goes to stdout (or --out); diagnostics go to stderr.
 Exit codes: 0 success, 1 validation or model error, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

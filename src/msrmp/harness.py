@@ -6,13 +6,10 @@ A cell's peak memory is what tracemalloc sees a second, untimed solve of the
 cell allocate, so it belongs to that cell alone and costs its time nothing.
 """
 
-from __future__ import annotations
-
 import csv
-import dataclasses
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import pareto
@@ -33,54 +30,46 @@ from .residue import count_raw, count_reduced
 CRITERIA_COUNTS = (4, 2)
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    threat_counts: tuple = (5, 6)
-    controls_per_threat: int = 4
-    stakeholders: int = 2
-    seed: int = 0
-    mode: str = "goals"
-    timeout_secs: float | None = None
+class BenchSpec(namedtuple("BenchSpec", "threat_counts controls_per_threat "
+                                      "stakeholders seed mode timeout_secs")):
+    """A benchmark sweep: one instance per threat count, each solved once,
+    with a timeout in seconds per solve, or None."""
 
-    def __post_init__(self):
-        if not self.threat_counts or min(self.threat_counts) < 1:
+    __slots__ = ()
+
+    def __new__(cls, threat_counts=(5, 6), controls_per_threat=4,
+                stakeholders=2, seed=0, mode="goals", timeout_secs=None):
+        if not threat_counts or min(threat_counts) < 1:
             raise ValueError("threat_counts must be >= 1")
-        if self.controls_per_threat < 1 or self.stakeholders < 1:
+        if controls_per_threat < 1 or stakeholders < 1:
             raise ValueError("counts must be >= 1")
         # a NaN deadline never passes and a negative one always has
-        if self.timeout_secs is not None and not self.timeout_secs >= 0:
+        if timeout_secs is not None and not timeout_secs >= 0:
             raise ValueError("timeout_secs must be a number >= 0")
+        return super().__new__(cls, threat_counts, controls_per_threat,
+                               stakeholders, seed, mode, timeout_secs)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, so both pass the checks of __new__
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    threats: int
-    controls_total: int
-    raw_count: int
-    reduced_count: int
-    reduction_factor: Fraction
-    mode: str
-    seconds: float
-    peak_mem_mb: float
-    front_size: int
-    timed_out: bool
+class BenchRecord(namedtuple("BenchRecord", "threats controls_total raw_count "
+                                          "reduced_count reduction_factor mode "
+                                          "seconds peak_mem_mb front_size "
+                                          "timed_out")):
+    """One solved instance of a sweep: a row of the CSV."""
+
+    __slots__ = ()
 
     def as_row(self):
-        return [
-            self.threats,
-            self.controls_total,
-            self.raw_count,
-            self.reduced_count,
-            f"{float(self.reduction_factor):.6g}",
-            self.mode,
-            f"{self.seconds:.4f}",
-            f"{self.peak_mem_mb:.3f}",
-            self.front_size,
-            int(self.timed_out),
-        ]
+        return [*self[:4], f"{float(self.reduction_factor):.6g}", self.mode,
+                f"{self.seconds:.4f}", f"{self.peak_mem_mb:.3f}", self.front_size,
+                int(self.timed_out)]
 
 
-CSV_COLUMNS = [f.name for f in dataclasses.fields(BenchRecord)]
+CSV_COLUMNS = list(BenchRecord._fields)
 
 
 def _random_weights(rng, count):

@@ -3,9 +3,7 @@ and the two overall-impact-residue objectives (criteria mode and goal-weighted
 mode).  Everything is computed over exact rationals.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import RiskModel
@@ -164,13 +162,11 @@ def objective_goals(m: RiskModel, x) -> tuple:
     return _goal_sum(m, residue_vector(m, x))[2]
 
 
-@dataclass(frozen=True)
-class AssessmentReport:
-    mode: str
-    residues: dict              # threat id -> Fraction
-    objectives: tuple           # per stakeholder, model order
-    ntc: dict | None            # threat id -> Fraction (goals mode only)
-    goal_averages: dict | None  # goal id -> {stakeholder id -> Fraction}
+# residues: threat id -> Fraction; objectives: per stakeholder, model order;
+# ntc: threat id -> Fraction, and goal_averages: goal id -> {stakeholder id
+# -> Fraction}, in goals mode only (else None)
+AssessmentReport = namedtuple("AssessmentReport",
+                              "mode residues objectives ntc goal_averages")
 
 
 def assess(m: RiskModel, assignment=None, mode="goals") -> AssessmentReport:

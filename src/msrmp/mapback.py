@@ -20,9 +20,7 @@ each (threat id, residue) pair: every distinct pair is counted once and
 listed once.  A dict serves one model, one limit and one form of heads.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -34,23 +32,21 @@ from .residue import residue_vector
 MAX_ASSIGNMENTS = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class MitigationAssignment:
-    threat_id: str
-    levels: tuple[Fraction, ...]  # one level per control, model control order
+class MitigationAssignment(namedtuple("MitigationAssignment", "threat_id levels")):
+    """One threat's levels, one per control in model control order."""
+
+    __slots__ = ()
 
     def as_dict(self, m: RiskModel):
         threat = m.threat(self.threat_id)
         return {c.id: lv for c, lv in zip(threat.controls, self.levels)}
 
 
-@dataclass(frozen=True)
-class RmpEnumeration:
-    target: tuple                 # residue vector, model threat order
-    per_threat: dict              # threat id -> list[MitigationAssignment]
-    per_threat_counts: dict       # threat id -> exact count
-    total: int                    # product of the per-threat counts
-    truncated: bool
+# target: the residue vector, model threat order; per_threat: threat id ->
+# its listing; per_threat_counts: threat id -> exact count; total: their
+# product; truncated: whether a limit cut a listing
+RmpEnumeration = namedtuple("RmpEnumeration", "target per_threat "
+                            "per_threat_counts total truncated")
 
 
 def _check_limit(limit):

@@ -5,11 +5,10 @@ made downstream (dominance, dedup, golden files) is exact.  A document decimal
 like "0.725" parses to 29/40; a value like "5/6" is accepted too.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 DEFAULT_GOALS = [
@@ -108,38 +107,43 @@ def exact_str(q):
     return decimal_str(q, places) if places else str(q.numerator)
 
 
-@dataclass(frozen=True)
-class ProtectionCriterion:
-    id: str
-    name: str
-    weight: Fraction
+class Record:
+    """Base of the records whose len() is not their number of fields, so
+    not named tuples: the fields are the slots, set in order by __init__
+    and never again, and records of one type with equal fields are equal."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._key())) + ")"
 
 
-@dataclass(frozen=True)
-class Stakeholder:
-    id: str
-    name: str
-    criteria: tuple[ProtectionCriterion, ...]
-
-
-@dataclass(frozen=True)
-class Control:
-    id: str
-    name: str
-
-
-@dataclass(frozen=True)
-class Threat:
-    id: str
-    name: str
-    goals: tuple[str, ...]
-    controls: tuple[Control, ...]
-
-
-@dataclass(frozen=True)
-class Goal:
-    id: str
-    name: str
+ProtectionCriterion = namedtuple("ProtectionCriterion", "id name weight")
+Stakeholder = namedtuple("Stakeholder", "id name criteria")
+Control = namedtuple("Control", "id name")
+Threat = namedtuple("Threat", "id name goals controls")
+Goal = namedtuple("Goal", "id name")
 
 
 def level_sums(levels, n):
@@ -158,14 +162,20 @@ def level_sums(levels, n):
     return den, counts
 
 
-@dataclass(frozen=True)
-class MitigationScale:
-    levels: tuple[Fraction, ...] = DEFAULT_MITIGATION_LEVELS
-    impact_scale_max: int = DEFAULT_IMPACT_SCALE_MAX
-    # level_sums tables by number of controls, built on first use and kept
-    # as long as the scale
-    tables: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+class MitigationScale(namedtuple("MitigationScale", "levels impact_scale_max",
+                                 defaults=(DEFAULT_MITIGATION_LEVELS,
+                                           DEFAULT_IMPACT_SCALE_MAX))):
+    """The mitigation levels and the impact scale.  Not slotted: the
+    instance dict holds the level-sum tables, which equality, hash and repr
+    do not see."""
+
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    @cached_property
+    def tables(self):
+        """level_sums tables by number of controls, built on first use and
+        kept as long as the scale."""
+        return {}
 
     def level_counts(self, n):
         """The level-sum table of n controls: residue sets, map-back counts
@@ -176,19 +186,21 @@ class MitigationScale:
         return self.tables[n]
 
 
-@dataclass(frozen=True)
-class RiskModel:
+class RiskModel(namedtuple("RiskModel", "stakeholders threats goals aversion "
+                                        "scale assignment")):
     """A validated instance.  Threat and stakeholder order is the document
-    order and defines every vector layout produced downstream."""
+    order and defines every vector layout produced downstream.
+    aversion[stakeholder_id][criterion_id][threat_id] is an int, and the
+    optional assignment[threat_id][control_id] a Fraction, for assess.
+    Built without a scale, a model gets a default scale of its own."""
 
-    stakeholders: tuple[Stakeholder, ...]
-    threats: tuple[Threat, ...]
-    goals: tuple[Goal, ...]
-    # aversion[stakeholder_id][criterion_id][threat_id] -> int
-    aversion: dict
-    scale: MitigationScale = field(default_factory=MitigationScale)
-    # optional fixed assignment[threat_id][control_id] -> Fraction, for assess
-    assignment: dict | None = None
+    __slots__ = ()
+
+    def __new__(cls, stakeholders, threats, goals, aversion, scale=None,
+                assignment=None):
+        return super().__new__(cls, stakeholders, threats, goals, aversion,
+                               MitigationScale() if scale is None else scale,
+                               assignment)
 
     def stakeholder_ids(self):
         return [s.id for s in self.stakeholders]

@@ -9,17 +9,15 @@ cross-multiplications instead of Fraction arithmetic.  Public results are
 exact Fractions.
 """
 
-from __future__ import annotations
-
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import add
 
 from . import impact
-from .model import RiskModel, rat
+from .model import Record, RiskModel, rat
 from .residue import count_raw, residue_space, vector_at
 
 # solve_direct_oracle refuses raw policy spaces larger than this
@@ -30,38 +28,45 @@ class SolveTimeout(Exception):
     """Raised when a solve exceeds its deadline (used by the bench harness)."""
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    mode: str = "goals"
-    # only "upfront"; kept while benchmark/worker.py still passes it
-    strategy: str = "upfront"
-    # lower bounds on the objective per stakeholder id (risk appetite)
-    bounds: dict = field(default_factory=dict)
-    exclusive_bounds: bool = False
-    deadline: float | None = None  # time.monotonic() value
+class SolveConfig(namedtuple("SolveConfig", "mode strategy bounds "
+                                          "exclusive_bounds deadline")):
+    """How to solve: the objective mode; the strategy, only "upfront", kept
+    while benchmark/worker.py still passes it; lower bounds on the objective
+    per stakeholder id (risk appetite), strict if exclusive_bounds; and a
+    time.monotonic() deadline, or None."""
 
-    def __post_init__(self):
-        if self.mode not in impact.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.strategy != "upfront":
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+    __slots__ = ()
+
+    def __new__(cls, mode="goals", strategy="upfront", bounds=None,
+                exclusive_bounds=False, deadline=None):
+        if mode not in impact.MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if strategy != "upfront":
+            raise ValueError(f"unknown strategy {strategy!r}")
         # exact copies, so that neither a binary float nor a later change
         # to the caller's dict reaches the solve
-        bounds = {sid: rat(v, f"bounds.{sid}") for sid, v in self.bounds.items()}
+        bounds = {sid: rat(v, f"bounds.{sid}") for sid, v in (bounds or {}).items()}
         if any(v < 0 for v in bounds.values()):
             raise ValueError("risk-appetite bounds must be nonnegative")
-        object.__setattr__(self, "bounds", bounds)
+        return super().__new__(cls, mode, strategy, bounds, exclusive_bounds,
+                               deadline)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, so both pass the checks of __new__
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class FrontEntry:
-    objective: tuple          # per stakeholder, exact Fractions
-    residues: tuple           # residue vectors achieving it, enumeration order
+# objective: per stakeholder, exact Fractions; residues: the residue vectors
+# achieving it, in enumeration order
+FrontEntry = namedtuple("FrontEntry", "objective residues")
 
 
-@dataclass(frozen=True)
-class ParetoFront:
-    entries: tuple[FrontEntry, ...]   # sorted lexicographically by objective
+class ParetoFront(Record):
+    """The front entries, sorted lexicographically by objective; len() is
+    their number."""
+
+    __slots__ = ("entries",)
 
     @property
     def feasible(self):

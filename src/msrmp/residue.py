@@ -11,20 +11,18 @@ order, is pareto.evaluated_points, and solve lists each front entry's
 witnesses in that order.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .model import RiskModel
+from .model import Record, RiskModel
 
 
-@dataclass(frozen=True)
-class ResidueSet:
-    threat_id: str
-    n_controls: int
-    residues: tuple[Fraction, ...]   # distinct, descending, 1 first
+class ResidueSet(Record):
+    """The residues of one threat, distinct and descending, 1 first; len()
+    is their number."""
+
+    __slots__ = ("threat_id", "n_controls", "residues")
 
     def __len__(self):
         return len(self.residues)
@@ -46,9 +44,13 @@ def residue_set(m: RiskModel, tid) -> ResidueSet:
 
 def residue_vector(m: RiskModel, x) -> dict:
     """Normalize a residue vector given as a dict or sequence to a dict
-    {threat id -> Fraction} in model threat order."""
+    {threat id -> Fraction} in model threat order.  A dict must name every
+    threat of the model and no other."""
     tids = m.threat_ids()
     if isinstance(x, dict):
+        unknown = [t for t in x if t not in tids]
+        if unknown:
+            raise KeyError(f"residue vector names unknown threats {unknown}")
         missing = [t for t in tids if t not in x]
         if missing:
             raise KeyError(f"residue vector missing threats {missing}")
@@ -59,9 +61,10 @@ def residue_vector(m: RiskModel, x) -> dict:
     return {t: Fraction(v) for t, v in zip(tids, x)}
 
 
-@dataclass(frozen=True)
-class ResidueSpace:
-    sets: tuple[ResidueSet, ...]  # model threat order
+class ResidueSpace(namedtuple("ResidueSpace", "sets")):
+    """The residue sets of the threats, in model threat order."""
+
+    __slots__ = ()
 
     @property
     def size(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 from fractions import Fraction
 
@@ -37,5 +36,4 @@ scales = st.lists(
 
 def with_scale(m, levels):
     """The model m on the mitigation levels given, same impact scale."""
-    return dataclasses.replace(
-        m, scale=MitigationScale(levels, m.scale.impact_scale_max))
+    return m._replace(scale=MitigationScale(levels, m.scale.impact_scale_max))

@@ -528,6 +528,18 @@ def test_cli_start_does_not_import_harness():
     assert done.stdout == "False\n"
 
 
+def test_import_footprint():
+    """Every command starts with importing the package and the CLI, so
+    neither loads dataclasses or typing, nor what dataclasses imports.  -S
+    keeps site-packages start-up files from loading any of them first."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import msrmp, msrmp.cli; "
+            "print([m for m in ('ast', 'dataclasses', 'dis', 'inspect', 'typing') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 class _AsRows(list):
     """A list of string-valued dicts that the writer is handed as the
     mapback.Listing of its groups: each group a prefix dict with its tail

@@ -200,12 +200,10 @@ def test_criteria_objective_monotone(index, rng):
 
 
 def test_objective_goals_rejects_goalless_threats(small_model):
-    import dataclasses
-
     bad_threats = tuple(
-        dataclasses.replace(t, goals=()) if t.id == "T2" else t
+        t._replace(goals=()) if t.id == "T2" else t
         for t in small_model.threats
     )
-    m = dataclasses.replace(small_model, threats=bad_threats)
+    m = small_model._replace(threats=bad_threats)
     with pytest.raises(ValueError, match="affect no goal"):
         objective_goals(m, [F(1)] * 3)

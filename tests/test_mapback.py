@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrmp import count_rmps, enumerate_rmps
+from msrmp import count_rmps, enumerate_rmps, objective
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.mapback import (assignments_for_residue, count_assignments, listing,
                            listing_counts)
@@ -243,3 +243,12 @@ def test_shared_listing_changes_nothing(small_model, data, levels, q, limit):
             assert listed[t, xt] == (shared.per_threat_counts[t],
                                      shared.per_threat[t])
             assert shared.per_threat[t] is listed[t, xt][1]
+
+
+def test_unknown_threat_ids_are_refused(small_model):
+    """A residue vector naming a threat the model lacks is refused, not read
+    as if the threat were not there."""
+    x = {"T1": "0.25", "T2": "0.5", "T3": "0.5", "T9": "0.5"}
+    for call in (enumerate_rmps, count_rmps, objective):
+        with pytest.raises(KeyError, match="unknown threats \\['T9'\\]"):
+            call(small_model, x)

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import json
 from fractions import Fraction
@@ -208,7 +207,7 @@ def test_with_assignment(small_model):
         "T2": {"c3": Fraction(1, 2), "c4": Fraction(1, 2)},
         "T3": {"c5": Fraction(0)},
     }
-    m2 = dataclasses.replace(small_model, assignment=assignment)
+    m2 = small_model._replace(assignment=assignment)
     assert m2.assignment == assignment
     assert validate_model(m2) == []
     assert small_model.assignment is None

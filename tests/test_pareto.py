@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -173,15 +172,8 @@ def test_expired_deadline_raises(running_model):
 
 
 def test_goals_mode_rejects_goalless_threats(small_model):
-    import dataclasses
-
-    bad = dataclasses.replace(
-        small_model,
-        threats=tuple(
-            dataclasses.replace(t, goals=()) if t.id == "T3" else t
-            for t in small_model.threats
-        ),
-    )
+    bad = small_model._replace(threats=tuple(
+        t._replace(goals=()) if t.id == "T3" else t for t in small_model.threats))
     with pytest.raises(ValueError, match="affect no goal"):
         solve(bad, SolveConfig(mode="goals"))
 
@@ -197,7 +189,7 @@ _SHAPES = [(1, 1), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1
 
 def _impact_free(m, tid):
     """m with every aversion to threat tid set to 0."""
-    return dataclasses.replace(m, aversion={
+    return m._replace(aversion={
         sid: {cid: {t: 0 if t == tid else v for t, v in row.items()}
               for cid, row in per_criterion.items()}
         for sid, per_criterion in m.aversion.items()})
@@ -287,7 +279,7 @@ def test_permuted_threats_permute_the_witnesses(index, shape, mode, stakeholders
     to match.  Bounds, when drawn, sit on the values of front entries."""
     m = _instance(index, *shape, stakeholders=stakeholders)
     perm = data.draw(st.permutations(range(len(m.threats))))
-    permuted = dataclasses.replace(m, threats=tuple(m.threats[i] for i in perm))
+    permuted = m._replace(threats=tuple(m.threats[i] for i in perm))
     bounds = {}
     if exclusive is not None:
         objectives = solve(m, SolveConfig(mode=mode)).objectives()
