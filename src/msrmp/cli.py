@@ -161,15 +161,6 @@ def cmd_count(args):
 
 def cmd_assess(args):
     m = _load_model(args.model)
-    if m.assignment is None:
-        print("assess: the model document carries no assignment", file=sys.stderr)
-        return 1
-    if args.mode == "goals":
-        diags = validate_model(m, goals_mode=True)
-        if diags:
-            for diag in diags:
-                print(diag, file=sys.stderr)
-            return 1
     report = impact.assess(m, mode=args.mode)
     p = args.precision
     doc = {
@@ -293,27 +284,12 @@ def _rmp_docs(m, vectors, limit, precision):
 def cmd_map_back(args):
     m = _load_model(args.model)
     if args.residue:
-        target = _parse_pairs(args.residue, "--residue", "threat")
-        unknown = [t for t in target if t not in m.threat_ids()]
-        if unknown:
-            print(f"map-back: --residue names unknown threat {unknown[0]!r}",
-                  file=sys.stderr)
-            return 1
-        missing = [t for t in m.threat_ids() if t not in target]
-        if missing:
-            print(f"map-back: missing residues for threats {missing}",
-                  file=sys.stderr)
-            return 1
-        vectors = [target]
+        vectors = [_parse_pairs(args.residue, "--residue", "threat")]
     else:
         # no explicit residue vector: solve first, then map back each optimum
         result = pareto.solve(m, _solve_config(args))
         vectors = [vec for entry in result.entries for vec in entry.residues]
-    try:
-        results = _rmp_docs(m, vectors, args.limit, args.precision)
-    except ValueError as exc:
-        print(f"map-back: {exc}", file=sys.stderr)
-        return 1
+    results = _rmp_docs(m, vectors, args.limit, args.precision)
     _emit({"command": "map-back", "results": results}, args.out)
     return 0
 

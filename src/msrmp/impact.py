@@ -171,7 +171,8 @@ AssessmentReport = namedtuple("AssessmentReport",
 
 def assess(m: RiskModel, assignment=None, mode="goals") -> AssessmentReport:
     """Evaluate a fixed per-threat assignment: residues, criticality,
-    per-goal averages and the overall objectives."""
+    per-goal averages and the overall objectives.  Goals mode refuses a
+    threat that affects no goal."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if assignment is None:
@@ -188,6 +189,7 @@ def assess(m: RiskModel, assignment=None, mode="goals") -> AssessmentReport:
 
     crit = goal_avgs = None
     if mode == "goals":
+        _require_goals(m)
         crit, goal_avgs, objectives = _goal_sum(m, residues)
     else:
         objectives = objective_criteria(m, residues)

@@ -21,11 +21,10 @@ listed once.  A dict serves one model, one limit and one form of heads.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 
-from .model import RiskModel
-from .residue import residue_vector
+from .model import RiskModel, rat
+from .residue import residue_set, residue_vector
 
 # listings above this many assignments, for one threat or in all, are refused
 # unless a limit bounds them: they would take minutes and outgrow memory
@@ -57,20 +56,18 @@ def _check_limit(limit):
 
 
 def _instance(m, tid, x):
-    """One threat's instance: (grid, counts, target).  grid pairs each
-    scaled level, descending, with the scale's own Fraction; counts is the
-    scale's level-sum table; target is the integer sum realizing x.  The
-    all-max vector is excluded, and it alone reaches the greatest sum
-    (n > 0), so that sum is not achievable."""
-    x = Fraction(x)
+    """One threat's instance: (grid, counts, target).  x is read by
+    model.rat, and a residue that residue_set does not list is refused.
+    grid pairs each scaled level, descending, with the scale's own
+    Fraction; counts is the scale's level-sum table; target is the integer
+    sum of the n scaled levels that realizes x."""
+    x = rat(x, f"residue {tid!r}")
+    if x not in residue_set(m, tid).residues:
+        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
     n = len(m.threat(tid).controls)
     den, counts = m.scale.level_counts(n)
     grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
-    target = n * (1 - x) * den
-    if (target.denominator != 1 or not counts[n].get(int(target))
-            or n > 0 and target == n * grid[0][0] or n == 0 and x != 1):
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
-    return grid, counts, int(target)
+    return grid, counts, int(n * (1 - x) * den)
 
 
 class Listing:

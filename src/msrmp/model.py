@@ -253,6 +253,16 @@ def _ident(obj, path, errors):
     return ident, ident if name is None else str(name)
 
 
+def _number(value, path, errors, default=None):
+    """A document number read by rat; anything else is diagnosed and read
+    as default."""
+    try:
+        return rat(value, path)
+    except ModelError as exc:
+        errors.extend(exc.diagnostics)
+        return default
+
+
 def _mapping(value, path, errors):
     """A document object; anything else is diagnosed and read as empty."""
     if isinstance(value, dict):
@@ -285,13 +295,9 @@ def parse_model(document) -> RiskModel:
         raise ModelError("document root must be an object")
 
     errors = []
-
-    def bad(msg):
-        errors.append(msg)
-
     il_max = document.get("impact_scale_max", DEFAULT_IMPACT_SCALE_MAX)
     if not isinstance(il_max, int) or isinstance(il_max, bool) or il_max < 1:
-        bad("impact_scale_max: must be an integer >= 1")
+        errors.append("impact_scale_max: must be an integer >= 1")
         il_max = DEFAULT_IMPACT_SCALE_MAX
 
     raw_levels = document.get("mitigation_levels")
@@ -300,10 +306,9 @@ def parse_model(document) -> RiskModel:
     else:
         levels = []
         for i, lv in enumerate(_entries(raw_levels, "mitigation_levels", errors)):
-            try:
-                levels.append(rat(lv, f"mitigation_levels[{i}]"))
-            except ModelError as exc:
-                errors.extend(exc.diagnostics)
+            lv = _number(lv, f"mitigation_levels[{i}]", errors)
+            if lv is not None:
+                levels.append(lv)
         levels = tuple(levels)
 
     goals_doc = document.get("goals")
@@ -312,9 +317,6 @@ def parse_model(document) -> RiskModel:
     else:
         goals = tuple(Goal(*_ident(g, f"goals[{gi}]", errors))
                       for gi, g in _objects(goals_doc, "goals", errors))
-    goal_ids = [g.id for g in goals]
-    if len(set(goal_ids)) != len(goal_ids):
-        bad("goals: duplicate goal id")
 
     stakeholders = []
     for si, s in _objects(document.get("stakeholders", []), "stakeholders", errors):
@@ -324,11 +326,8 @@ def parse_model(document) -> RiskModel:
         for ci, c in _objects(s.get("criteria", []), f"{path}.criteria", errors):
             cpath = f"{path}.criteria[{ci}]"
             cid, cname = _ident(c, cpath, errors)
-            try:
-                weight = rat(c.get("weight", 0), f"{cpath}.weight")
-            except ModelError as exc:
-                errors.extend(exc.diagnostics)
-                weight = Fraction(0)
+            weight = _number(c.get("weight", 0), f"{cpath}.weight", errors,
+                             Fraction(0))
             criteria.append(ProtectionCriterion(cid, cname, weight))
         stakeholders.append(Stakeholder(sid, name, tuple(criteria)))
     stakeholders = tuple(stakeholders)
@@ -367,12 +366,9 @@ def parse_model(document) -> RiskModel:
                                       errors).items():
             assignment[str(tid)] = {}
             for cid, lv in _mapping(per_ctrl, f"assignment.{tid}", errors).items():
-                try:
-                    assignment[str(tid)][str(cid)] = rat(
-                        lv, f"assignment.{tid}.{cid}"
-                    )
-                except ModelError as exc:
-                    errors.extend(exc.diagnostics)
+                lv = _number(lv, f"assignment.{tid}.{cid}", errors)
+                if lv is not None:
+                    assignment[str(tid)][str(cid)] = lv
 
     model = RiskModel(
         stakeholders=stakeholders,
@@ -408,8 +404,12 @@ def validate_model(m: RiskModel, goals_mode=False):
     if m.scale.impact_scale_max < 1:
         diags.append("impact_scale_max: must be >= 1")
 
-    sids = [s.id for s in m.stakeholders]
-    if len(set(sids)) != len(sids):
+    goal_ids = {g.id for g in m.goals}
+    if len(goal_ids) != len(m.goals):
+        diags.append("goals: duplicate goal id")
+
+    sids = {s.id for s in m.stakeholders}
+    if len(sids) != len(m.stakeholders):
         diags.append("stakeholders: duplicate stakeholder id")
     if not m.stakeholders:
         diags.append("stakeholders: at least one stakeholder is required")
@@ -432,12 +432,11 @@ def validate_model(m: RiskModel, goals_mode=False):
                     f"stakeholders[{si}].criteria[{ci}].weight: must lie in [0, 1]"
                 )
 
-    tids = [t.id for t in m.threats]
-    if len(set(tids)) != len(tids):
+    threats = {t.id: t for t in m.threats}
+    if len(threats) != len(m.threats):
         diags.append("threats: duplicate threat id")
     if not m.threats:
         diags.append("threats: at least one threat is required")
-    goal_ids = {g.id for g in m.goals}
     for ti, t in enumerate(m.threats):
         cids = [c.id for c in t.controls]
         if len(set(cids)) != len(cids):
@@ -454,7 +453,7 @@ def validate_model(m: RiskModel, goals_mode=False):
     il_max = m.scale.impact_scale_max
     known = {(s.id, c.id) for s in m.stakeholders for c in s.criteria}
     for sid, per_crit in m.aversion.items():
-        if sid not in set(sids):
+        if sid not in sids:
             diags.append(f"aversion.{sid}: unknown stakeholder id")
             continue
         for cid, per_threat in per_crit.items():
@@ -462,7 +461,7 @@ def validate_model(m: RiskModel, goals_mode=False):
                 diags.append(f"aversion.{sid}.{cid}: unknown criterion id")
                 continue
             for tid, v in per_threat.items():
-                if tid not in set(tids):
+                if tid not in threats:
                     diags.append(f"aversion.{sid}.{cid}.{tid}: unknown threat id")
                 elif not isinstance(v, int) or isinstance(v, bool):
                     diags.append(f"aversion.{sid}.{cid}.{tid}: must be an integer")
@@ -479,11 +478,10 @@ def validate_model(m: RiskModel, goals_mode=False):
     if m.assignment is not None:
         level_set = set(levels)
         for tid, per_ctrl in m.assignment.items():
-            if tid not in set(tids):
+            if tid not in threats:
                 diags.append(f"assignment.{tid}: unknown threat id")
                 continue
-            threat = m.threat(tid)
-            ctrl_ids = {c.id for c in threat.controls}
+            ctrl_ids = {c.id for c in threats[tid].controls}
             for cid, lv in per_ctrl.items():
                 if cid not in ctrl_ids:
                     diags.append(f"assignment.{tid}.{cid}: unknown control id")

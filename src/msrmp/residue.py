@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .model import Record, RiskModel
+from .model import Record, RiskModel, rat
 
 
 class ResidueSet(Record):
@@ -39,13 +39,14 @@ def residue_set(m: RiskModel, tid) -> ResidueSet:
     # ascending sums give descending residues; the largest sum is reached
     # only by the all-max assignment, which is excluded
     sums = sorted(counts[n])[:-1]
-    return ResidueSet(tid, n, tuple(1 - Fraction(s, n * den) for s in sums))
+    return ResidueSet(tid, n, tuple(Fraction(n * den - s, n * den) for s in sums))
 
 
 def residue_vector(m: RiskModel, x) -> dict:
     """Normalize a residue vector given as a dict or sequence to a dict
     {threat id -> Fraction} in model threat order.  A dict must name every
-    threat of the model and no other."""
+    threat of the model and no other.  Each residue is read by model.rat,
+    as a document number is."""
     tids = m.threat_ids()
     if isinstance(x, dict):
         unknown = [t for t in x if t not in tids]
@@ -54,11 +55,11 @@ def residue_vector(m: RiskModel, x) -> dict:
         missing = [t for t in tids if t not in x]
         if missing:
             raise KeyError(f"residue vector missing threats {missing}")
-        return {t: Fraction(x[t]) for t in tids}
+        return {t: rat(x[t], f"residue {t!r}") for t in tids}
     x = list(x)
     if len(x) != len(tids):
         raise ValueError(f"residue vector has {len(x)} entries, expected {len(tids)}")
-    return {t: Fraction(v) for t, v in zip(tids, x)}
+    return {t: rat(v, f"residue {t!r}") for t, v in zip(tids, x)}
 
 
 class ResidueSpace(namedtuple("ResidueSpace", "sets")):
@@ -109,7 +110,7 @@ def vector_at(space: ResidueSpace, ordinal) -> tuple:
 
 def residue_of_assignment(m: RiskModel, tid, assignment) -> Fraction:
     """Residue 1 - (sum of levels / number of controls) of one threat under a
-    total assignment {control id -> level}."""
+    total assignment {control id -> level}, each level read by model.rat."""
     threat = m.threat(tid)
     n = len(threat.controls)
     if n == 0:
@@ -119,7 +120,7 @@ def residue_of_assignment(m: RiskModel, tid, assignment) -> Fraction:
     for c in threat.controls:
         if c.id not in assignment:
             raise ValueError(f"assignment for threat {tid!r} misses control {c.id!r}")
-        lv = Fraction(assignment[c.id])
+        lv = rat(assignment[c.id], f"assignment.{tid}.{c.id}")
         if lv not in level_set:
             raise ValueError(
                 f"level {lv} for control {c.id!r} is not in the mitigation scale"

@@ -107,6 +107,17 @@ def test_assess_without_assignment_fails(capsys):
     assert "no assignment" in err
 
 
+def test_assess_goals_mode_refuses_a_goalless_threat(capsys, tmp_path):
+    doc = json.loads(RUNNING.read_text())
+    doc["threats"][0]["goals"] = []
+    path = tmp_path / "goalless.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "assess", str(path), "--mode", "goals") == (
+        1, "", "threats ['T1'] affect no goal; goal-weighted mode undefined\n")
+    code, out, err = run(capsys, "assess", str(path), "--mode", "criteria")
+    assert code == 0
+
+
 def test_solve_document(capsys):
     code, out, err = run(capsys, "solve", str(SMALL), "--mode", "criteria")
     assert code == 0
@@ -227,11 +238,12 @@ def test_map_back_explicit_residues(capsys):
 def test_map_back_missing_residue(capsys):
     code, out, err = run(capsys, "map-back", str(SMALL), "--residue", "T1=0.25")
     assert code == 1
-    assert "missing residues" in err
+    assert "missing threats ['T2', 'T3']" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("residues, diagnostic", [
-    (["T1=0.25", "T2=0.5", "T3=0.5", "T9=0.5"], "unknown threat 'T9'"),
+    (["T1=0.25", "T2=0.5", "T3=0.5", "T9=0.5"], "unknown threats ['T9']"),
     (["T1=0.25", "T2=0.5", "T3=0.5", "T1=0.5"], "threat 'T1' twice"),
 ])
 def test_map_back_rejects_bad_residue_threats(capsys, residues, diagnostic):
@@ -679,3 +691,33 @@ def test_any_document_ends_in_an_exit_code(tmp_path, command, mode, document):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)
+
+
+# --residue values: achievable on some threat of example-small, unachievable,
+# float-looking, over-long, huge-exponent and malformed
+_residue_values = st.sampled_from([
+    "0.25", "0.5", "1", "0.75", "0.33", "1/3", "0.5e0", "2.5e-1", "1e-200000",
+    "1e400", "9" * 70, "nan", "inf", "-0.5", "", "x", "1/0"])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["T1", "T2", "T3", "T9"]),
+                          _residue_values), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_residue_pairs_end_in_an_exit_code(capsys, pairs):
+    """map-back --residue with any pair list that does not name each threat
+    exactly once, or names a residue the threat cannot reach, ends in exit 1
+    or 2 with a diagnostic, nothing on stdout and no traceback."""
+    argv = ["map-back", str(SMALL)]
+    for name, value in pairs:
+        argv += ["--residue", f"{name}={value}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert sorted(name for name, _ in pairs) == ["T1", "T2", "T3"]
+    else:
+        assert code in (1, 2)
+        assert out == "" and err and "Traceback" not in err

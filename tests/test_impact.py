@@ -207,3 +207,8 @@ def test_objective_goals_rejects_goalless_threats(small_model):
     m = small_model._replace(threats=bad_threats)
     with pytest.raises(ValueError, match="affect no goal"):
         objective_goals(m, [F(1)] * 3)
+    # assess scores an assignment in goals mode by the same rule
+    levels = {"T1": {"c1": 1, "c2": 0}, "T2": {"c3": 0, "c4": 0}, "T3": {"c5": 0}}
+    with pytest.raises(ValueError, match="threats \\['T2'\\] affect no goal"):
+        assess(m, levels, mode="goals")
+    assert assess(m, levels, mode="criteria").residues["T2"] == 1

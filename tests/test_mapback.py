@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrmp import count_rmps, enumerate_rmps, objective
+from msrmp import ModelError, assess, count_rmps, enumerate_rmps, objective
 from msrmp.harness import BenchSpec, gen_instance
 from msrmp.mapback import (assignments_for_residue, count_assignments, listing,
                            listing_counts)
@@ -247,8 +247,23 @@ def test_shared_listing_changes_nothing(small_model, data, levels, q, limit):
 
 def test_unknown_threat_ids_are_refused(small_model):
     """A residue vector naming a threat the model lacks is refused, not read
-    as if the threat were not there."""
+    as if the threat were not there.  A residue or an assignment level that
+    is a float, a boolean or an over-long number is refused as a document
+    number is, naming its threat."""
     x = {"T1": "0.25", "T2": "0.5", "T3": "0.5", "T9": "0.5"}
     for call in (enumerate_rmps, count_rmps, objective):
         with pytest.raises(KeyError, match="unknown threats \\['T9'\\]"):
             call(small_model, x)
+    levels = {"T1": {"c1": 1, "c2": 0}, "T3": {"c5": 0}}
+    for bad in (0.5, True, "1e-200000"):
+        x = {"T1": "0.25", "T2": bad, "T3": "0.5"}
+        calls = [
+            lambda: enumerate_rmps(small_model, x),
+            lambda: count_rmps(small_model, x),
+            lambda: objective(small_model, list(x.values())),
+            lambda: count_assignments(small_model, "T2", bad),
+            lambda: assess(small_model, {**levels, "T2": {"c3": bad, "c4": 0}}),
+        ]
+        for call in calls:
+            with pytest.raises(ModelError, match="T2"):
+                call()

@@ -163,6 +163,15 @@ def test_duplicate_ids_are_diagnosed():
     with pytest.raises(ModelError, match="duplicate stakeholder id"):
         parse_model(doc)
 
+    doc = _doc()
+    doc["goals"][1]["id"] = "G1"
+    with pytest.raises(ModelError, match="goals: duplicate goal id"):
+        parse_model(doc)
+    # a model built without the parser is held to the same rule
+    m = parse_model(_doc())
+    m = m._replace(goals=m.goals + m.goals[:1])
+    assert validate_model(m) == ["goals: duplicate goal id"]
+
 
 def test_unknown_goal_reference_is_diagnosed():
     doc = _doc()
