@@ -245,7 +245,7 @@ def test_map_back_missing_residue(capsys):
 @pytest.mark.parametrize("residues, diagnostic", [
     (["T1=0.25", "T2=0.5", "T3=0.5", "T9=0.5"], "unknown threats ['T9']"),
     (["T1=0.25", "T2=0.5", "T3=0.5", "T1=0.5"], "threat 'T1' twice"),
-])
+], ids=["residues0-unknown threat 'T9'", "residues1-threat 'T1' twice"])
 def test_map_back_rejects_bad_residue_threats(capsys, residues, diagnostic):
     argv = ["map-back", str(SMALL)]
     for pair in residues:
