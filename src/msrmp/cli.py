@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import impact, mapback, pareto, residue
@@ -438,7 +439,10 @@ def _seconds(text):
     return value
 
 
+@cache
 def build_parser():
+    """The msrmp parser, built once per process: parse_args leaves it
+    unchanged, and each main call would otherwise rebuild it."""
     parser = argparse.ArgumentParser(
         prog="msrmp",
         description="Exact Pareto-front solver for multi-stakeholder "

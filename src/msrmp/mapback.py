@@ -8,10 +8,12 @@ of controls, how many level vectors reach each sum.  That one table answers
 the exact count and guides the listing: top down it tells how many completions
 each partial sum must supply, and bottom up each partial sum's completions
 are built once, as suffixes that every row ending in them shares.  The
-listing never walks into a dead end.  The top node and its children each
-have one parent, so their rows are never built: a listing is a Listing of
-groups, each a prefix of at most two control symbols with the shared list
-of tails it extends, and a writer renders each group at once.
+listing never walks into a dead end.  The rows of the first controls are
+never built: each path through them is a prefix, and the paths go deeper
+while a listing of r rows has at most isqrt(r) of them.  A listing is thus
+a Listing of at most isqrt(r) groups, each a prefix of control symbols with
+the shared list of tails it extends, and a writer renders each group at
+once.
 
 The scale builds each table once per number of controls and keeps it, so
 solve, counts and map-back share it.  One call that maps back many vectors
@@ -21,10 +23,10 @@ listed once.  A dict serves one model, one limit and one form of heads.
 """
 
 from collections import namedtuple
-from math import prod
+from math import isqrt, prod
 
 from .model import RiskModel, rat
-from .residue import residue_set, residue_vector
+from .residue import residue_vector
 
 # listings above this many assignments, for one threat or in all, are refused
 # unless a limit bounds them: they would take minutes and outgrow memory
@@ -57,26 +59,27 @@ def _check_limit(limit):
 
 def _instance(m, tid, x):
     """One threat's instance: (grid, counts, target).  x is read by
-    model.rat, and a residue that residue_set does not list is refused.
-    grid pairs each scaled level, descending, with the scale's own
+    model.rat, and a residue that the scale's residue_sums do not list is
+    refused.  grid pairs each scaled level, descending, with the scale's own
     Fraction; counts is the scale's level-sum table; target is the integer
     sum of the n scaled levels that realizes x."""
     x = rat(x, f"residue {tid!r}")
-    if x not in residue_set(m, tid).residues:
-        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
     n = len(m.threat(tid).controls)
+    sums = m.scale.residue_sums(n)
+    if x not in sums:
+        raise ValueError(f"residue {x} not achievable for threat {tid!r}")
     den, counts = m.scale.level_counts(n)
     grid = sorted(((int(lv * den), lv) for lv in m.scale.levels), reverse=True)
-    return grid, counts, int(n * (1 - x) * den)
+    return grid, counts, sums[x]
 
 
 class Listing:
     """A listing's rows as groups: each group is a prefix, the symbols of
-    the first controls, with the list of tails that it extends.  Groups
-    hold at least one tail each, and the tails of a group all have the same
-    length, so a group's rows are prefix + tail for each of its tails.
-    Tails lists may be shared between groups.  len() is the number of rows,
-    and iteration yields the rows, each as one tuple, in order."""
+    any number of first controls, with the list of tails that it extends.
+    Groups hold at least one tail each, and the tails of a group all have
+    the same length, so a group's rows are prefix + tail for each of its
+    tails.  Tails lists may be shared between groups.  len() is the number
+    of rows, and iteration yields the rows, each as one tuple, in order."""
 
     __slots__ = ("groups", "_len")
 
@@ -101,30 +104,31 @@ class Listing:
 def _walk(grid, counts, target, stop, heads):
     """The first stop completions of n levels summing to target, in
     lexicographic order with higher levels first, each as the tuple of
-    heads[j][i], the symbol of grid index i at position j, as a Listing
-    whose prefixes hold the first min(n, 2) positions.
+    heads[j][i], the symbol of grid index i at position j, as a Listing.
 
     A node is a sum left for the k positions still to fill.  Top down, each
     node gives its children, in grid order, as many completions as it still
-    needs, up to each child's count, and stops once it has enough; a child
-    wants the most any parent gives it.  Below the top two levels, bottom
-    up, a node's list is its head before each of its children's lists, cut
-    to what it still needs, and a child's list is dropped once its last
-    parent has read it.  The top node and its children each have one
-    parent, so their rows are never built: each path through them is a
-    prefix, and its tails are the list of the node it reaches, cut to what
-    the path needs.  Nothing recurses and no row is walked position by
-    position, so the number of controls is not bounded by the recursion
-    limit."""
-    n = len(counts) - 1
-    top = max(n - 2, 0)
+    needs, up to each child's count, and stops once it has enough.  The
+    paths from the top node grow one position at a time while their
+    children cannot outnumber isqrt(size), size being the number of rows
+    listed; each path is a prefix, whose rows are never built, and its
+    tails are the list of the node it reaches, cut to what the path needs.
+    Below the paths a child wants the most any parent gives it, and bottom
+    up a node's list is its head before each of its children's lists, cut
+    to what it still needs; a child's list is dropped once its last parent
+    has read it.  So a large listing's lists hold few of its rows, and a
+    small one does not break into one-row groups.  Nothing recurses and no
+    row is walked position by position, so the number of controls is not
+    bounded by the recursion limit."""
+    n = top = len(counts) - 1
     scaled = [s for s, _ in grid]
+    size = min(stop, counts[n][target])
     # the paths through the levels above top: (prefix, node, need)
-    paths = [((), target, min(stop, counts[n][target]))]
-    for k in range(n, top, -1):
-        below, into = counts[k - 1], []
+    paths = [((), target, size)]
+    while top and len(paths) * len(grid) <= isqrt(size):
+        below, into = counts[top - 1], []
         for prefix, s, need in paths:
-            for v, head in zip(scaled, heads[n - k]):
+            for v, head in zip(scaled, heads[n - top]):
                 have = below.get(s - v)
                 if have:
                     give = min(need, have)
@@ -132,7 +136,7 @@ def _walk(grid, counts, target, stop, heads):
                     need -= give
                     if not need:
                         break
-        paths = into
+        paths, top = into, top - 1
     wants = [None] * top + [{}]
     for _, s, need in paths:
         if wants[top].get(s, 0) < need:

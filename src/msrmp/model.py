@@ -166,8 +166,8 @@ class MitigationScale(namedtuple("MitigationScale", "levels impact_scale_max",
                                  defaults=(DEFAULT_MITIGATION_LEVELS,
                                            DEFAULT_IMPACT_SCALE_MAX))):
     """The mitigation levels and the impact scale.  Not slotted: the
-    instance dict holds the level-sum tables, which equality, hash and repr
-    do not see."""
+    instance dict holds the level-sum tables and residue sums, which
+    equality, hash and repr do not see."""
 
     __setattr__ = __delattr__ = Record.__setattr__
 
@@ -184,6 +184,27 @@ class MitigationScale(namedtuple("MitigationScale", "levels impact_scale_max",
         if n not in self.tables:
             self.tables[n] = level_sums(self.levels, n)
         return self.tables[n]
+
+    @cached_property
+    def sums(self):
+        """residue_sums dicts by number of controls, built on first use and
+        kept as long as the scale."""
+        return {}
+
+    def residue_sums(self, n):
+        """{residue: sum} of n controls, residues descending, 1 first: each
+        achievable residue 1 - sum / (n * den) with the integer sum of the
+        level-sum table that realizes it.  The largest sum, reached only by
+        the all-max assignment, is excluded; no controls yield {1: 0}, as
+        nothing can be mitigated.  Residue sets and map-back read this one
+        dict, built once per scale and number of controls."""
+        if n not in self.sums:
+            den, counts = self.level_counts(n)
+            # ascending sums give descending residues
+            self.sums[n] = ({Fraction(n * den - s, n * den): s
+                             for s in sorted(counts[n])[:-1]}
+                            if n else {Fraction(1): 0})
+        return self.sums[n]
 
 
 class RiskModel(namedtuple("RiskModel", "stakeholders threats goals aversion "

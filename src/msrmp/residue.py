@@ -29,17 +29,10 @@ class ResidueSet(Record):
 
 
 def residue_set(m: RiskModel, tid) -> ResidueSet:
-    """All achievable residues of a threat, from the level-sum table.  A
-    threat with no controls yields {1}: nothing can be mitigated."""
-    threat = m.threat(tid)
-    n = len(threat.controls)
-    if n == 0:
-        return ResidueSet(tid, 0, (Fraction(1),))
-    den, counts = m.scale.level_counts(n)
-    # ascending sums give descending residues; the largest sum is reached
-    # only by the all-max assignment, which is excluded
-    sums = sorted(counts[n])[:-1]
-    return ResidueSet(tid, n, tuple(Fraction(n * den - s, n * den) for s in sums))
+    """All achievable residues of a threat, from the scale's residue sums.
+    A threat with no controls yields {1}: nothing can be mitigated."""
+    n = len(m.threat(tid).controls)
+    return ResidueSet(tid, n, tuple(m.scale.residue_sums(n)))
 
 
 def residue_vector(m: RiskModel, x) -> dict:

@@ -590,10 +590,10 @@ _id = st.text(st.sampled_from('c1"\\\x00\x1f\x7f\u2028\u00e9\U0001f600')
 
 @st.composite
 def _group(draw):
-    """A prefix of up to two items and one or more tails sharing it; no
-    items at all makes rows written {}."""
-    keys = draw(st.lists(_id, unique=True, max_size=4))
-    cut = draw(st.integers(min_value=0, max_value=min(2, len(keys))))
+    """A prefix of any length and one or more tails sharing it; no items
+    at all makes rows written {}."""
+    keys = draw(st.lists(_id, unique=True, max_size=6))
+    cut = draw(st.integers(min_value=0, max_value=len(keys)))
     prefix = {k: draw(_text) for k in keys[:cut]}
     tail = st.fixed_dictionaries({k: _text for k in keys[cut:]})
     return prefix, draw(st.lists(tail, min_size=1, max_size=3))

@@ -202,6 +202,45 @@ def test_sound_and_complete_against_brute_force(data, index, q, levels):
         assert count_assignments(m, "T1", x) == len(expected)
 
 
+@pytest.mark.parametrize("levels, q", [((F(0), F(1)), 10),
+                                       ((F(0), F(1, 2), F(1)), 9)])
+def test_deep_prefixes_against_brute_force(levels, q):
+    """Listings large enough that their prefixes hold three controls or
+    more, in full and cut at half their count; prefixes that reach the
+    same node share its list of tails."""
+    m = with_scale(gen_instance(BenchSpec(seed=11), threat_count=1,
+                                controls_per_threat=q), levels)
+    heads = [{lv: f"{j}:{lv}" for lv in levels} for j in range(q)]
+    expected = {}
+    # the product runs in ascending order, so each residue's rows are
+    # listed backwards
+    for combo in reversed(list(itertools.product(levels, repeat=q))):
+        expected.setdefault(1 - sum(combo, F(0)) / q, []).append(
+            tuple(h[lv] for h, lv in zip(heads, combo)))
+    del expected[F(0)]  # the all-max assignment alone
+    assert sorted(expected, reverse=True) == list(residue_set(m, "T1").residues)
+    for x, rows in expected.items():
+        assert listing(m, "T1", x, heads) == rows
+        assert listing(m, "T1", x, heads, limit=len(rows) // 2) == rows[:len(rows) // 2]
+    middle = max(expected, key=lambda x: len(expected[x]))
+    groups = listing(m, "T1", middle, heads).groups
+    assert min(len(prefix) for prefix, _ in groups) >= 3
+    assert len({id(tails) for _, tails in groups}) < len(groups)
+
+
+def test_large_listing_holds_about_a_root_of_its_rows():
+    """The 996,216-assignment listing of one threat of 16 controls: its
+    prefixes run six controls deep, so 722 groups share 34,001 stored tails
+    (two-control prefixes would hold 596,388 in 9 groups)."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=1, controls_per_threat=16)
+    own = {lv: lv for lv in m.scale.levels}
+    rows = listing(m, "T1", "0.6875", [own] * 16)
+    stored = {id(tails): len(tails) for _, tails in rows.groups}
+    assert len(rows) == 996_216
+    assert (len(rows.groups), sum(stored.values())) == (722, 34_001)
+    assert {len(prefix) for prefix, _ in rows.groups} == {6}
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5),
        scales)
 @settings(max_examples=30, deadline=None)

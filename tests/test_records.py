@@ -84,12 +84,16 @@ def test_models_without_a_scale_do_not_share_tables(small_model):
 def test_scale_equality_ignores_its_tables():
     used, fresh = MitigationScale(), MitigationScale()
     used.level_counts(2)
+    assert used.residue_sums(3) == {F(1): 0, F(5, 6): 1, F(2, 3): 2, F(1, 2): 3,
+                                    F(1, 3): 4, F(1, 6): 5}
+    assert list(used.tables) == [2, 3] and list(used.sums) == [3]
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert used != MitigationScale((F(0), F(1)))
     assert used != MitigationScale(impact_scale_max=5)
     # a derived scale starts with tables of its own
-    assert used._replace(levels=(F(0), F(1))).tables == {}
+    derived = used._replace(levels=(F(0), F(1)))
+    assert derived.tables == {} and derived.sums == {}
 
 
 def test_front_equality_is_by_entries(small_model):
