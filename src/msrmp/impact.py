@@ -36,12 +36,18 @@ def affected_goal_count(m: RiskModel, tid) -> int:
     return len(m.threat(tid).goals)
 
 
-def observation_weight(m: RiskModel, tid) -> Fraction:
-    """Fraction of all threat-to-goal incidences attributed to this threat."""
+def _incidences(m: RiskModel) -> int:
+    """Number of threat-to-goal incidences; a model without any has no
+    observation weights."""
     total = sum(len(t.goals) for t in m.threats)
     if total == 0:
         raise ValueError("no threat affects any goal; observation weights undefined")
-    return Fraction(affected_goal_count(m, tid), total)
+    return total
+
+
+def observation_weight(m: RiskModel, tid) -> Fraction:
+    """Fraction of all threat-to-goal incidences attributed to this threat."""
+    return Fraction(affected_goal_count(m, tid), _incidences(m))
 
 
 def goal_threat_counts(m: RiskModel) -> dict:
@@ -84,7 +90,8 @@ def _fold(m: RiskModel, mode):
     objective_s(x) = sum_T num[s][T] x_T / sum_T den[T] x_T, with den None
     (denominator 1) in criteria mode.  Criteria mode has no 1/|T| prefactor:
     the Pareto set is invariant under positive constant factors and the worked
-    arithmetic of the source tables carries none."""
+    arithmetic of the source tables carries none.  Goals mode refuses a
+    threat that affects no goal, and a model without threats."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     profile = impact_profile(m)
@@ -92,7 +99,8 @@ def _fold(m: RiskModel, mode):
     if mode == "criteria":
         return [[profile[s.id][t] for t in tids] for s in m.stakeholders], None
     _require_goals(m)
-    ows = [observation_weight(m, t) for t in tids]
+    total = _incidences(m)
+    ows = [Fraction(len(t.goals), total) for t in m.threats]
     spreads = [goal_spread(m, t) for t in tids]
     num = [
         [ow * g * profile[s.id][t] for t, ow, g in zip(tids, ows, spreads)]

@@ -87,28 +87,35 @@ def dominates(p, q) -> bool:
 
 
 # key comparison outcomes
-_EQ, _DOM, _DOMBY, _INC = range(4)
+_EQ, _DOM = range(2)
 
 
 def _compare_keys(p, q):
-    """Compare two (nums, den) ratio points; den > 0 on both sides."""
+    """_EQ if the (nums, den) ratio points p and q are equal, _DOM if p
+    strictly dominates q, else None; den > 0 on both sides."""
     pn, pd = p
     qn, qd = q
-    p_le = p_ge = True
+    strict = False
     for a, b in zip(pn, qn):
         left = a * qd
         right = b * pd
-        if left < right:
-            p_ge = False
-        elif left > right:
-            p_le = False
-    if p_le and p_ge:
-        return _EQ
-    if p_le:
-        return _DOM
-    if p_ge:
-        return _DOMBY
-    return _INC
+        if left > right:
+            return None
+        strict = strict or left < right
+    return _DOM if strict else _EQ
+
+
+def _upto(front, n, d):
+    """Number of entries of a front sorted by r0 whose r0 <= n / d."""
+    lo, hi = 0, len(front)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        nums, den = front[mid][0]
+        if nums[0] * d <= n * den:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _add_point(front, key, payload):
@@ -124,16 +131,11 @@ def _add_point(front, key, payload):
     nums, den = key
     n0 = nums[0]
     size = len(front)
-    lo, hi = 0, size
-    while lo < hi:  # first entry whose r0 >= the point's r0
-        mid = (lo + hi) // 2
-        e = front[mid][0]
-        if e[0][0] * den < n0 * e[1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    while hi < size and front[hi][0][0][0] * den == n0 * front[hi][0][1]:
-        hi += 1
+    # the entries before lo have a lower r0 than the point, those before
+    # hi up to its r0
+    lo = hi = _upto(front, n0, den)
+    while lo and front[lo - 1][0][0][0] * den == n0 * front[lo - 1][0][1]:
+        lo -= 1
     planar = len(nums) <= 2
     for i in range(hi - 1, -1, -1):
         entry = front[i]
@@ -172,54 +174,47 @@ def front(points) -> ParetoFront:
     return _assemble(culled, tuple)
 
 
-class _Evaluator:
-    """The objective fold of impact._fold scaled to integers and tabulated
-    per threat: tables[i][d] is the (nums, den) contribution of digit d of
-    threat i, and base the denominator of criteria mode (0 in goals mode)."""
-
-    def __init__(self, m: RiskModel, mode, space):
-        self.model = m
-        # scale all residues to a common integer grid
-        dens = [x.denominator for rs in space.sets for x in rs.residues]
-        scale = lcm(*dens) if dens else 1
-        num, den = impact._fold(m, mode)
-        k = lcm(*(c.denominator for c in itertools.chain(*num, den or ())))
-        coef = [[int(c * k) for c in row] for row in num]
-        cden = [0] * len(space.sets) if den is None else [int(c * k) for c in den]
-        self.base = k * scale if den is None else 0
-        self.tables = [
-            [(tuple(row[i] * x for row in coef), cden[i] * x)
-             for x in (int(r * scale) for r in rs.residues)]
-            for i, rs in enumerate(space.sets)
-        ]
-
-    def bound_tests(self, bounds, exclusive):
-        """Compile exact bounds into (stakeholder index, p, q, e) integer
-        tests: keep the point iff nums[i] * q >= p * den + e, where e is 1
-        for an exclusive bound and 0 otherwise (on integers, a > b iff
-        a >= b + 1)."""
-        sids = self.model.stakeholder_ids()
-        tests = []
-        for sid, lb in bounds.items():
-            if sid not in sids:
-                raise KeyError(f"unknown stakeholder {sid!r} in bounds")
-            tests.append((sids.index(sid), lb.numerator, lb.denominator,
-                          int(exclusive)))
-        return tests
+def _prepare(m: RiskModel, cfg: SolveConfig):
+    """The residue space; the objective fold of impact._fold scaled to
+    integers and tabulated per threat, tables[i][d] the (nums, den)
+    contribution of digit d of threat i (one zero row for a model without
+    threats); base, the denominator of criteria mode (0 in goals mode); and
+    the bounds compiled into (stakeholder index, p, q, e) integer tests:
+    keep the point iff nums[i] * q >= p * den + e, where e is 1 for an
+    exclusive bound and 0 otherwise (on integers, a > b iff a >= b + 1)."""
+    space = residue_space(m)
+    # scale all residues to a common integer grid
+    scale = lcm(*(x.denominator for rs in space.sets for x in rs.residues))
+    num, den = impact._fold(m, cfg.mode)
+    k = lcm(*(c.denominator for c in itertools.chain(*num, den or ())))
+    coef = [[int(c * k) for c in row] for row in num]
+    cden = [0] * len(space.sets) if den is None else [int(c * k) for c in den]
+    tables = [
+        [(tuple(row[i] * x for row in coef), cden[i] * x)
+         for x in (int(r * scale) for r in rs.residues)]
+        for i, rs in enumerate(space.sets)
+    ] or [[((0,) * len(coef), 0)]]
+    sids = m.stakeholder_ids()
+    tests = []
+    for sid, lb in cfg.bounds.items():
+        if sid not in sids:
+            raise KeyError(f"unknown stakeholder {sid!r} in bounds")
+        tests.append((sids.index(sid), lb.numerator, lb.denominator,
+                      int(cfg.exclusive_bounds)))
+    return space, tables, k * scale if den is None else 0, tests
 
 
 def _fails(num, den, p, q, e):
     """True iff the ratio num / den fails the bound test (i, p, q, e) of
-    _Evaluator.bound_tests."""
+    _prepare."""
     return num * q < p * den + e
 
 
-def _feasible_keys(ev, tests, deadline):
+def _feasible_keys(tables, base, tests, deadline):
     """Yield (key, ordinal) over the whole space in mixed-radix order,
     filtered by the risk-appetite bounds.  The leading threats' rows are
     summed once per head; each point then adds one row of the last threat."""
-    zero = (0,) * len(ev.model.stakeholders)
-    *lead, last = [(zero, ev.base)], *(ev.tables or [[(zero, 0)]])
+    *lead, last = [((0,) * len(tables[0][0][0]), base)], *tables
     ordinal = 0
     for head in itertools.product(*lead):
         if deadline is not None and time.monotonic() > deadline:
@@ -274,55 +269,55 @@ def _extreme(a, b, start, rows, low):
         num, den = n2, d2
 
 
-def _bisect(front, before):
-    """Length of the longest prefix of the front on whose keys before holds;
-    it must hold on a prefix."""
-    lo, hi = 0, len(front)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if before(front[mid][0]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _pruned(front, ideal, nums, den, box):
+    """True iff the front, sorted by r0, leaves every completion of the node
+    at nums / den strictly dominated; ideal[s] = (num, den) is the least
+    component s over the completions, box the node's _extreme rows.
 
+    First, when an entry strictly dominates the ideal point.  Only the
+    entries with r0 <= the ideal point's can; with one or two objectives
+    the last of them has the least r1, so it decides alone.
 
-def _dominated(front, ideal, lo, planar):
-    """True iff an entry of the front, sorted by r0, strictly dominates the
-    point whose component s is the ratio ideal[s] = (num, den).  Only the
-    first lo entries, those with r0 <= the point's, can; with one or two
-    objectives the last of them has the least r1, so it decides alone."""
-    for (nums, den), _ in front[max(lo - 1, 0) if planar else 0:lo]:
+    Then, with two objectives, when a line w.y = L, which no completion
+    lies below, shows it.  The points above the ideal point that the front
+    leaves undominated lie in open cells whose corners are its local nadirs
+    (r0 of one entry, r1 of the one before it), or in the unbounded cells
+    beyond its two ends.  w is normal to the chord between the entries that
+    bracket the ideal point, L is the exact minimum of w.y over the
+    completions, and every nadir inside the ideal box must lie on or below
+    the line.  That bounds the entries there strictly below it too.  An
+    ideal point raised to the bounds leaves out only infeasible
+    completions."""
+    dims = len(ideal)
+    n0, d0 = ideal[0]
+    first = _upto(front, n0, d0) - 1
+    for (en, ed), _ in front[max(first, 0) if dims <= 2 else 0:first + 1]:
         strict = False
-        for e, (n, d) in zip(nums, ideal):
+        for e, (n, d) in zip(en, ideal):
             left = e * d
-            right = n * den
+            right = n * ed
             if left > right:
                 break
             strict = strict or left < right
         else:
             if strict:
                 return True
-    return False
-
-
-def _separated(front, ideal, lo, nums, den, box):
-    """With two objectives: True iff a line w.y = L, which no completion of
-    the node lies below, leaves every completion strictly dominated.
-
-    The points above the ideal point that the two-objective front leaves
-    undominated lie in open cells whose corners are its local nadirs (r0 of
-    one entry, r1 of the one before it), or in the unbounded cells beyond
-    its two ends.  w is normal to the chord between the entries that
-    bracket the ideal point, L is the exact minimum of w.y over the
-    completions, and every nadir inside the ideal box must lie on or below
-    the line.  That bounds the entries there strictly below it too.  An
-    ideal point raised to the bounds leaves out only infeasible completions.
-    lo is _dominated's: the number of entries with r0 <= the ideal point's."""
+    if dims != 2 or first < 0:
+        return False
+    # last: the first entry whose r1 <= the ideal point's, as r1 falls
+    # while r0 rises.  Unless the entry first equals the ideal point, it
+    # was not dominating, so its r1 is above; if it equals, last == first
+    # and the test ends
     n1, d1 = ideal[1]
-    first = lo - 1
-    last = _bisect(front, lambda key: key[0][1] * d1 > n1 * key[1])
-    if first < 0 or last <= first or last == len(front):
+    last, hi = first, len(front)
+    while last < hi:
+        mid = (last + hi) // 2
+        mn, md = front[mid][0]
+        if mn[1] * d1 > n1 * md:
+            last = mid + 1
+        else:
+            hi = mid
+    if last == first or last == len(front):
         return False
     (fn, fd), (ln, ld) = front[first][0], front[last][0]
     w0 = fn[1] * ld - ln[1] * fd
@@ -360,16 +355,14 @@ def _threat_order(tables):
         Fraction(swings[i], top_swing) + spreads[i] / top_spread))
 
 
-def _search(ev, tests, deadline):
+def _search(tables, base, tests, deadline):
     """The front of the feasible points, as culled (key, ordinals) pairs,
     by a depth-first branch and bound over the mixed-radix digit tree.
 
     The tree branches on the threats in the fixed order of _threat_order,
     and a node fixes the digits of the leading threats of that order.  A
-    node is pruned when every completion is strictly dominated by the front
-    so far: when an entry strictly dominates the ideal point of the
-    completions, or, with two objectives, when a weighted-sum line below
-    them shows it (_separated).  It is also pruned when the maximum over its
+    node is pruned when the front so far strictly dominates every
+    completion (_pruned).  It is also pruned when the maximum over its
     completions of a bounded objective fails its bound.  Otherwise a bounded
     component of the ideal point below its bound is raised to it: the
     feasible completions all lie on or above the raised point, so the
@@ -380,9 +373,7 @@ def _search(ev, tests, deadline):
     each digit times its threat's place in the model's mixed-radix order,
     so the ordinals, and the order solve sorts witnesses in, are those of
     the flat pass whatever order the search branches in."""
-    dims = len(ev.model.stakeholders)
-    zero = (0,) * dims
-    tables = ev.tables or [[(zero, 0)]]
+    dims = len(tables[0][0][0])
     n = len(tables)
     # places[i]: the mixed-radix place of threat i in the model's order
     places = [1] * n
@@ -391,7 +382,6 @@ def _search(ev, tests, deadline):
     order = _threat_order(tables)
     tables = [tables[i] for i in order]
     places = [places[i] for i in order]
-    planar = dims <= 2
     # box[k][s]: _extreme's rows of stakeholder s over threats k.., and the
     # sums of their lo and of their hi rows; residues descend, so a table's
     # last row is its lowest residue
@@ -405,9 +395,9 @@ def _search(ev, tests, deadline):
         box.append(per_s)
     add_point = _add_point  # looked up per call, so a replaced one is used
     front = []
-    stack = [(0, zero, ev.base, 0)]
+    stack = [(0, (0,) * dims, base, 0)]
     while stack:
-        k, nums, den, base = stack.pop()
+        k, nums, den, ordinal = stack.pop()
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout
         if any(_fails(*_extreme(nums[si], den, box[k][si][2], box[k][si][0], False),
@@ -418,10 +408,7 @@ def _search(ev, tests, deadline):
         for si, p, q, _ in tests:
             if ideal[si][0] * q < p * ideal[si][1]:
                 ideal[si] = (p, q)
-        n0, d0 = ideal[0]
-        lo = _bisect(front, lambda key: key[0][0] * d0 <= n0 * key[1])
-        if (_dominated(front, ideal, lo, planar)
-                or dims == 2 and _separated(front, ideal, lo, nums, den, box[k])):
+        if _pruned(front, ideal, nums, den, box[k]):
             continue
         table = tables[k]
         place = places[k]
@@ -429,7 +416,7 @@ def _search(ev, tests, deadline):
             # pushed highest residue first, so the lowest is popped first
             for d, (row_nums, row_den) in enumerate(table):
                 stack.append((k + 1, tuple(map(add, nums, row_nums)),
-                              den + row_den, base + d * place))
+                              den + row_den, ordinal + d * place))
             continue
         for d in range(len(table) - 1, -1, -1):
             row_nums, row_den = table[d]
@@ -437,22 +424,15 @@ def _search(ev, tests, deadline):
             leaf_den = den + row_den
             if not any(_fails(leaf[si], leaf_den, p, q, e)
                        for si, p, q, e in tests):
-                add_point(front, (leaf, leaf_den), [base + d * place])
+                add_point(front, (leaf, leaf_den), [ordinal + d * place])
     return front
-
-
-def _prepare(m: RiskModel, cfg: SolveConfig):
-    """The residue space, its evaluator and the compiled bound tests."""
-    space = residue_space(m)
-    ev = _Evaluator(m, cfg.mode, space)
-    return space, ev, ev.bound_tests(cfg.bounds, cfg.exclusive_bounds)
 
 
 def evaluated_points(m: RiskModel, cfg: SolveConfig = SolveConfig()):
     """Yield (objective, residue vector) for every point of the residue space
     that meets the risk-appetite bounds, in enumeration order."""
-    space, ev, tests = _prepare(m, cfg)
-    for (nums, den), ordinal in _feasible_keys(ev, tests, cfg.deadline):
+    space, tables, base, tests = _prepare(m, cfg)
+    for (nums, den), ordinal in _feasible_keys(tables, base, tests, cfg.deadline):
         yield tuple(Fraction(n, den) for n in nums), vector_at(space, ordinal)
 
 
@@ -464,8 +444,8 @@ def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     The front is found by one branch-and-bound search (_search).  Each
     entry's witnesses are listed in enumeration order, as the flat culling
     of evaluated_points by front() lists them."""
-    space, ev, tests = _prepare(m, cfg)
-    culled = _search(ev, tests, cfg.deadline)
+    space, tables, base, tests = _prepare(m, cfg)
+    culled = _search(tables, base, tests, cfg.deadline)
     return _assemble(((key, sorted(ordinals)) for key, ordinals in culled),
                      lambda o: vector_at(space, o))
 

@@ -118,6 +118,17 @@ def test_criterion_5_risk_appetite_bounds(running_model):
     assert len(result) == 6
 
 
+@pytest.mark.parametrize("places, entries", [(4, 3), (5, 6)])
+def test_criterion_5_rounded_objectives(running_model, places, entries):
+    """What the published count of 6 takes: each point that meets the exact
+    bounds, its objectives rounded half-even to 5 decimals, then culled.
+    At 4 decimals the five entries with DS 0.45027-0.45040 collapse."""
+    cfg = SolveConfig(mode="goals", bounds={"DS": F(45, 100), "DC": F(55, 100)})
+    rounded = ((tuple(round(v, places) for v in obj), res)
+               for obj, res in evaluated_points(running_model, cfg))
+    assert len(front(rounded)) == entries
+
+
 def test_criterion_6_strategy_equivalence():
     # >= 100 seeded instances within |T| <= 6, q <= 4: the branch-and-bound
     # search against the flat culling pass over every point

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 from fractions import Fraction
 
@@ -6,6 +8,8 @@ import pytest
 from msrmp import validate_model
 from msrmp.harness import BenchSpec, gen_instance, run_bench, write_csv
 from msrmp.residue import count_raw, count_reduced
+
+from .conftest import ROOT
 
 F = Fraction
 
@@ -97,3 +101,16 @@ def test_peak_memory_is_measured_per_cell():
     spec = BenchSpec(threat_counts=(6, 2), seed=9)
     big, small = run_bench(spec)
     assert 0 < small.peak_mem_mb < big.peak_mem_mb
+
+
+def test_every_tracer_target_exists():
+    """benchmark/tracing.py patches these names by module and attribute, and
+    reports the metrics of a missing one as absent.  Its TARGETS are read
+    from the file, not imported."""
+    tree = ast.parse((ROOT / "benchmark" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["TARGETS"])
+    assert targets
+    for mod, attr in targets.values():
+        assert hasattr(importlib.import_module(mod), attr), f"{mod}.{attr}"

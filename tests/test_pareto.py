@@ -178,6 +178,23 @@ def test_goals_mode_rejects_goalless_threats(small_model):
         solve(bad, SolveConfig(mode="goals"))
 
 
+def test_threatless_model(small_model):
+    """A model without threats has no observation weights, so every path
+    refuses goals mode alike.  In criteria mode its one point is (0, 0),
+    witnessed by the empty residue vector."""
+    m = small_model._replace(threats=())
+    cfg = SolveConfig(mode="goals")
+    for run in (lambda: solve(m, cfg), lambda: front(evaluated_points(m, cfg)),
+                lambda: solve_direct_oracle(m, cfg),
+                lambda: objective(m, {}, "goals")):
+        with pytest.raises(ValueError, match="no threat affects any goal"):
+            run()
+    cfg = SolveConfig(mode="criteria")
+    result = solve(m, cfg)
+    assert result == front(evaluated_points(m, cfg)) == solve_direct_oracle(m, cfg)
+    assert [(e.objective, e.residues) for e in result.entries] == [((0, 0), ((),))]
+
+
 def _instance(index, nt, q, seed=77, stakeholders=2):
     return gen_instance(BenchSpec(seed=seed, stakeholders=stakeholders),
                         index=index, threat_count=nt, controls_per_threat=q)
@@ -258,14 +275,16 @@ def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
     assert count == leaves
 
 
-def test_threat_order_cuts_the_goals_t6_search(monkeypatch):
-    """Seed-9 |T|=6, q=4 in goals mode: the search in model order sends
-    5,216 leaves through culling, in the threat order of _threat_order
-    1,352."""
-    m = gen_instance(BenchSpec(seed=9), threat_count=6, controls_per_threat=4)
+@pytest.mark.parametrize("threats, entries, leaves", [(6, 160, 1352), (7, 8, 1464)],
+                         ids=["goals-t6", "goals-c9"])
+def test_threat_order_cuts_the_goals_search(monkeypatch, threats, entries, leaves):
+    """Seed 9, q=4 in goals mode, the benchmark's goals instances.  The
+    search in model order sends 5,216 leaves through culling at |T|=6 and
+    344 at |T|=7; in the threat order of _threat_order 1,352 and 1,464."""
+    m = gen_instance(BenchSpec(seed=9), threat_count=threats, controls_per_threat=4)
     result, count = _leaves(monkeypatch, m, SolveConfig(mode="goals"))
-    assert len(result) == 160
-    assert count == 1352
+    assert len(result) == entries
+    assert count == leaves
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
