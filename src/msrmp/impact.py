@@ -72,7 +72,8 @@ def goal_spread(m: RiskModel, tid) -> Fraction:
 def ntc(m: RiskModel, x) -> dict:
     """Normalized threat criticality: OW_T * x_T, renormalized to sum 1."""
     xv = residue_vector(m, x)
-    ows = {t.id: observation_weight(m, t.id) for t in m.threats}
+    total = _incidences(m)
+    ows = {t.id: Fraction(len(t.goals), total) for t in m.threats}
     denom = sum((ows[t] * xv[t] for t in xv), Fraction(0))
     if denom == 0:
         raise ValueError("normalization denominator is zero for this residue vector")

@@ -11,10 +11,11 @@ exact Fractions.
 
 import itertools
 import time
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import inf, lcm
+from operator import add, itemgetter
 
 from . import impact
 from .model import Record, RiskModel, rat
@@ -88,6 +89,8 @@ def dominates(p, q) -> bool:
 
 # key comparison outcomes
 _EQ, _DOM = range(2)
+# the bisect key of _upto: a front entry's r0 rounded by _rounded
+_ROUNDED_R0 = itemgetter(2)
 
 
 def _compare_keys(p, q):
@@ -105,22 +108,31 @@ def _compare_keys(p, q):
     return _DOM if strict else _EQ
 
 
+def _rounded(n, d):
+    """n / d rounded to the nearest float, or -inf or inf beyond its range."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 def _upto(front, n, d):
-    """Number of entries of a front sorted by r0 whose r0 <= n / d."""
-    lo, hi = 0, len(front)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        nums, den = front[mid][0]
+    """Number of entries of a front sorted by r0 whose r0 <= n / d.  Rounding
+    keeps order, so one bisect over the entries' rounded r0 places all but
+    those whose rounding equals the query's; exact tests settle those."""
+    x = _rounded(n, d)
+    i = bisect_right(front, x, key=_ROUNDED_R0)
+    while i and front[i - 1][2] == x:
+        nums, den = front[i - 1][0]
         if nums[0] * d <= n * den:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+            break
+        i -= 1
+    return i
 
 
 def _add_point(front, key, payload):
-    """Insert one point into a mutable front (list of [key, payloads]) kept
-    sorted by the first objective.
+    """Insert one point into a mutable front (list of [key, payloads, r0
+    rounded by _rounded]) kept sorted by the first objective.
 
     payload is a list of opaque achieving witnesses (ordinals or residue
     vectors); equal points merge payloads in arrival order.  Dominators and
@@ -151,9 +163,9 @@ def _add_point(front, key, payload):
         end = lo
         while end < size and _compare_keys(key, front[end][0]) == _DOM:
             end += 1
-        front[lo:end] = [[key, list(payload)]]
+        front[lo:end] = [[key, list(payload), _rounded(n0, den)]]
     else:
-        front[lo:] = [[key, list(payload)]] + [
+        front[lo:] = [[key, list(payload), _rounded(n0, den)]] + [
             e for e in front[lo:] if _compare_keys(key, e[0]) != _DOM]
 
 
@@ -230,7 +242,7 @@ def _feasible_keys(tables, base, tests, deadline):
 
 
 def _assemble(culled, witness) -> ParetoFront:
-    """Public front of culled (key, payloads) pairs, sorted by objective;
+    """Public front of culled [key, payloads, r0] entries, sorted by objective;
     witness maps a payload to its residue vector.  Repeated payloads
     collapse, keeping arrival order."""
     entries = [
@@ -238,7 +250,7 @@ def _assemble(culled, witness) -> ParetoFront:
             objective=tuple(Fraction(n, den) for n in nums),
             residues=tuple(witness(p) for p in dict.fromkeys(payloads)),
         )
-        for (nums, den), payloads in culled
+        for (nums, den), payloads, _ in culled
     ]
     entries.sort(key=lambda e: e.objective)
     return ParetoFront(tuple(entries))
@@ -248,12 +260,13 @@ def _extreme(a, b, start, rows, low):
     """Exact minimum (low) or maximum of (a + sum_T n_T x_T) / (b + sum_T d_T x_T)
     with each remaining x_T at its lowest or highest residue, as (num, den).
     rows holds per remaining threat the one-stakeholder table rows of its
-    lowest and highest residue, (n lo, d lo, n hi, d hi); start sums the lo
-    (low) or hi rows, the first vertex tried.  Dinkelbach's iteration: with
+    lowest and highest residue, (n lo, d lo, n hi, d hi); start sums one
+    row of each, the first vertex tried.  Dinkelbach's iteration: with
     lambda the current ratio, put each x_T at lo where n_T - lambda d_T is
     positive (at hi for the maximum), until the ratio stops moving.
     Residues are positive, so the sign of that term is the sign of
-    n hi * den - num * d hi."""
+    n hi * den - num * d hi.  (num, den) is a plus, b plus the vertex the
+    last pass built, which a caller may start a sub-box from."""
     num, den = a + start[0], b + start[1]
     while True:
         n2, d2 = a, b
@@ -265,7 +278,7 @@ def _extreme(a, b, start, rows, low):
                 n2 += hn
                 d2 += hd
         if n2 * den == num * d2:
-            return num, den
+            return n2, d2
         num, den = n2, d2
 
 
@@ -291,7 +304,7 @@ def _pruned(front, ideal, nums, den, box):
     dims = len(ideal)
     n0, d0 = ideal[0]
     first = _upto(front, n0, d0) - 1
-    for (en, ed), _ in front[max(first, 0) if dims <= 2 else 0:first + 1]:
+    for (en, ed), _, _ in front[max(first, 0) if dims <= 2 else 0:first + 1]:
         strict = False
         for e, (n, d) in zip(en, ideal):
             left = e * d
@@ -356,8 +369,8 @@ def _threat_order(tables):
 
 
 def _search(tables, base, tests, deadline):
-    """The front of the feasible points, as culled (key, ordinals) pairs,
-    by a depth-first branch and bound over the mixed-radix digit tree.
+    """The front of the feasible points, as _add_point's culled entries, by
+    a depth-first branch and bound over the mixed-radix digit tree.
 
     The tree branches on the threats in the fixed order of _threat_order,
     and a node fixes the digits of the leading threats of that order.  A
@@ -368,6 +381,9 @@ def _search(tables, base, tests, deadline):
     feasible completions all lie on or above the raised point, so the
     dominance tests stay exact.  Equality never prunes, so no tied witness
     is lost.
+    A child's ideal-point passes start at its parent's vertices, less the
+    rows the parent's last passes picked for the threat just fixed: a
+    vertex of the child's box, and most often already its minimum.
     The last threat's digit runs as one flat row loop through _add_point,
     lowest residue first, as every digit is tried.  A witness ordinal sums
     each digit times its threat's place in the model's mixed-radix order,
@@ -395,16 +411,17 @@ def _search(tables, base, tests, deadline):
         box.append(per_s)
     add_point = _add_point  # looked up per call, so a replaced one is used
     front = []
-    stack = [(0, (0,) * dims, base, 0)]
+    stack = [(0, (0,) * dims, base, 0, [lo for _, lo, _ in box[0]])]
     while stack:
-        k, nums, den, ordinal = stack.pop()
+        k, nums, den, ordinal, starts = stack.pop()
         if deadline is not None and time.monotonic() > deadline:
             raise SolveTimeout
-        if any(_fails(*_extreme(nums[si], den, box[k][si][2], box[k][si][0], False),
-                      p, q, e) for si, p, q, e in tests):
+        if tests and any(_fails(*_extreme(nums[si], den, box[k][si][2], box[k][si][0],
+                                          False), p, q, e) for si, p, q, e in tests):
             continue
-        ideal = [_extreme(a, den, lo, rows, True)
-                 for a, (rows, lo, _) in zip(nums, box[k])]
+        vertices = [_extreme(a, den, start, rows, True)
+                    for a, start, (rows, _, _) in zip(nums, starts, box[k])]
+        ideal = vertices[:] if tests else vertices
         for si, p, q, _ in tests:
             if ideal[si][0] * q < p * ideal[si][1]:
                 ideal[si] = (p, q)
@@ -413,17 +430,24 @@ def _search(tables, base, tests, deadline):
         table = tables[k]
         place = places[k]
         if k < n - 1:
+            starts = []
+            for a, (vn, vd), (rows, _, _) in zip(nums, vertices, box[k]):
+                ln, ld, hn, hd = rows[0]
+                if hn * vd > vn * hd:
+                    starts.append((vn - a - ln, vd - den - ld))
+                else:
+                    starts.append((vn - a - hn, vd - den - hd))
             # pushed highest residue first, so the lowest is popped first
             for d, (row_nums, row_den) in enumerate(table):
                 stack.append((k + 1, tuple(map(add, nums, row_nums)),
-                              den + row_den, ordinal + d * place))
+                              den + row_den, ordinal + d * place, starts))
             continue
         for d in range(len(table) - 1, -1, -1):
             row_nums, row_den = table[d]
             leaf = tuple(map(add, nums, row_nums))
             leaf_den = den + row_den
-            if not any(_fails(leaf[si], leaf_den, p, q, e)
-                       for si, p, q, e in tests):
+            if not tests or not any(_fails(leaf[si], leaf_den, p, q, e)
+                                    for si, p, q, e in tests):
                 add_point(front, (leaf, leaf_den), [ordinal + d * place])
     return front
 
@@ -446,7 +470,7 @@ def solve(m: RiskModel, cfg: SolveConfig = SolveConfig()) -> ParetoFront:
     of evaluated_points by front() lists them."""
     space, tables, base, tests = _prepare(m, cfg)
     culled = _search(tables, base, tests, cfg.deadline)
-    return _assemble(((key, sorted(ordinals)) for key, ordinals in culled),
+    return _assemble(((key, sorted(o), r0) for key, o, r0 in culled),
                      lambda o: vector_at(space, o))
 
 

@@ -91,14 +91,16 @@ def count_reduced(m: RiskModel) -> int:
 def vector_at(space: ResidueSpace, ordinal) -> tuple:
     """Residue vector at a mixed-radix ordinal (first threat most
     significant, digits indexing the descending residue lists)."""
-    radices = space.radices()
-    if not 0 <= ordinal < space.size:
-        raise IndexError(f"ordinal {ordinal} outside [0, {space.size})")
-    digits = [0] * len(radices)
     rem = ordinal
-    for i in range(len(radices) - 1, -1, -1):
-        rem, digits[i] = divmod(rem, radices[i])
-    return tuple(space.sets[i].residues[d] for i, d in enumerate(digits))
+    vector = []
+    for rs in reversed(space.sets):
+        rem, digit = divmod(rem, len(rs.residues))
+        vector.append(rs.residues[digit])
+    # a negative ordinal, or one of size or more, leaves a remainder
+    if rem:
+        raise IndexError(f"ordinal {ordinal} outside [0, {space.size})")
+    vector.reverse()
+    return tuple(vector)
 
 
 def residue_of_assignment(m: RiskModel, tid, assignment) -> Fraction:

@@ -212,3 +212,15 @@ def test_objective_goals_rejects_goalless_threats(small_model):
     with pytest.raises(ValueError, match="threats \\['T2'\\] affect no goal"):
         assess(m, levels, mode="goals")
     assert assess(m, levels, mode="criteria").residues["T2"] == 1
+
+
+def test_assess_threatless_model(small_model):
+    """A model without threats has no observation weights: assess in goals
+    mode refuses it as solve and objective do, and criteria mode scores the
+    empty assignment as (0, 0)."""
+    m = small_model._replace(threats=())
+    with pytest.raises(ValueError, match="no threat affects any goal"):
+        assess(m, {}, mode="goals")
+    with pytest.raises(ValueError, match="no threat affects any goal"):
+        ntc(m, {})
+    assert assess(m, {}, mode="criteria").objectives == (0, 0)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -80,22 +81,75 @@ def test_duplicate_witnesses_collapse():
 _small = st.builds(F, st.integers(0, 3), st.integers(1, 2))
 
 
+def _brute_front(pts):
+    """The O(n^2) definition: the non-dominated distinct objectives, sorted,
+    each with its witnesses in arrival order."""
+    objs = list(dict.fromkeys(obj for obj, _ in pts))
+    return [
+        (o, tuple(dict.fromkeys(w for obj, w in pts if obj == o)))
+        for o in sorted(objs)
+        if not any(dominates(p, o) for p in objs)
+    ]
+
+
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(
     st.tuples(st.tuples(*[_small] * k), st.tuples(st.integers(0, 5))),
     max_size=30)))
 @settings(max_examples=300, deadline=None)
 def test_front_matches_brute_force(pts):
-    """The O(n^2) definition: the non-dominated distinct objectives, sorted,
-    each with its witnesses in arrival order; small values make ties on the
-    first objective, and equal points, common."""
-    objs = list(dict.fromkeys(obj for obj, _ in pts))
-    expected = [
-        (o, tuple(dict.fromkeys(w for obj, w in pts if obj == o)))
-        for o in sorted(objs)
-        if not any(dominates(p, o) for p in objs)
-    ]
+    """Small values make ties on the first objective, and equal points,
+    common."""
     result = front(pts)
-    assert [(e.objective, e.residues) for e in result.entries] == expected
+    assert [(e.objective, e.residues) for e in result.entries] == _brute_front(pts)
+
+
+# first objectives that round to one float: closer than an ulp, or beyond
+# the float range (without the clamp to -inf and inf, rounding raises)
+_CLOSE = [1 + F(k, 10**30) for k in range(5)]
+_HUGE = [-F(10**400) - 1, -F(10**400), F(0), F(10**400), F(10**400) + 1]
+
+
+@pytest.mark.parametrize("values", [_CLOSE, _HUGE], ids=["below-ulp", "beyond-float"])
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_front_where_rounded_r0_tie(values, data):
+    """The front's r0 search bisects on rounded r0, so entries whose r0
+    round alike are placed by exact tests alone.  Dominated and equal points
+    are mixed in."""
+    rest = [st.integers(0, 4)] * data.draw(st.integers(1, 2))
+    pts = data.draw(st.lists(st.tuples(st.tuples(st.sampled_from(values), *rest),
+                                       st.tuples(st.integers(0, 5))), max_size=30))
+    result = front(pts)
+    assert [(e.objective, e.residues) for e in result.entries] == _brute_front(pts)
+
+
+# a threat's rows at its lowest and highest residue, lo < hi: numerator
+# n x and denominator d x (d = 0 in criteria mode), n of either sign in the
+# chord test's weighted sums
+_ROW = st.builds(lambda n, d, lo, step: (n * lo, d * lo, n * (lo + step), d * (lo + step)),
+                 st.integers(-50, 50), st.integers(0, 50), st.integers(1, 8),
+                 st.integers(1, 8))
+
+
+@given(st.lists(_ROW, min_size=1, max_size=6), st.integers(-50, 50),
+       st.integers(1, 50), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_extreme_from_any_vertex(rows, a, b, low, data):
+    """Dinkelbach's iteration, started at any vertex of the box, ends at
+    the least (low) or greatest ratio over all 2^r vertices, and returns a
+    plus, b plus a vertex that attains it, from which the search starts a
+    child's pass."""
+    picks = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    start = (sum(r[2] if hi else r[0] for r, hi in zip(rows, picks)),
+             sum(r[3] if hi else r[1] for r, hi in zip(rows, picks)))
+    vertices = {
+        (sum(r[2] if hi else r[0] for r, hi in zip(rows, v)),
+         sum(r[3] if hi else r[1] for r, hi in zip(rows, v)))
+        for v in itertools.product([False, True], repeat=len(rows))}
+    best = (min if low else max)(F(a + n, b + d) for n, d in vertices)
+    num, den = pareto._extreme(a, b, start, rows, low)
+    assert (num - a, den - b) in vertices
+    assert F(num, den) == best
 
 
 def test_solve_config_validation():
@@ -275,12 +329,14 @@ def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
     assert count == leaves
 
 
-@pytest.mark.parametrize("threats, entries, leaves", [(6, 160, 1352), (7, 8, 1464)],
-                         ids=["goals-t6", "goals-c9"])
+@pytest.mark.parametrize("threats, entries, leaves",
+                         [(6, 160, 1352), (7, 8, 1464), (16, 491, 47952)],
+                         ids=["goals-t6", "goals-c9", "t16"])
 def test_threat_order_cuts_the_goals_search(monkeypatch, threats, entries, leaves):
-    """Seed 9, q=4 in goals mode, the benchmark's goals instances.  The
-    search in model order sends 5,216 leaves through culling at |T|=6 and
-    344 at |T|=7; in the threat order of _threat_order 1,352 and 1,464."""
+    """Seed 9, q=4 in goals mode: the benchmark's goals instances, and |T|=16,
+    whose 491-entry front gives the r0 search long bisects.  The search in
+    model order sends 5,216 leaves through culling at |T|=6 and 344 at
+    |T|=7; in the threat order of _threat_order 1,352 and 1,464."""
     m = gen_instance(BenchSpec(seed=9), threat_count=threats, controls_per_threat=4)
     result, count = _leaves(monkeypatch, m, SolveConfig(mode="goals"))
     assert len(result) == entries

@@ -91,8 +91,9 @@ def test_vector_at_bounds(small_model):
     space = residue_space(small_model)
     with pytest.raises(IndexError):
         vector_at(space, -1)
-    with pytest.raises(IndexError):
-        vector_at(space, space.size)
+    for ordinal in (space.size, space.size * 2, 10**30):
+        with pytest.raises(IndexError):
+            vector_at(space, ordinal)
 
 
 def test_residue_of_assignment_worked_values(running_model):
