@@ -139,34 +139,41 @@ def _add_point(front, key, payload):
     equals can only sit where r0 <= the point's r0, searched nearest first;
     dominated entries only where r0 >= it.  With one or two objectives the
     front's r0 are distinct and the later objective falls as r0 rises, so the
-    nearest entry decides alone and the dominated entries are one run."""
+    nearest entry decides alone, and the dominated entries are one run from
+    it, if its r0 ties, or else from the next."""
     nums, den = key
     n0 = nums[0]
-    size = len(front)
-    # the entries before lo have a lower r0 than the point, those before
-    # hi up to its r0
+    # the entries before hi have an r0 up to the point's
     lo = hi = _upto(front, n0, den)
-    while lo and front[lo - 1][0][0][0] * den == n0 * front[lo - 1][0][1]:
-        lo -= 1
-    planar = len(nums) <= 2
-    for i in range(hi - 1, -1, -1):
-        entry = front[i]
+    if len(nums) > 2:
+        # those before lo a lower r0
+        while lo and front[lo - 1][0][0][0] * den == n0 * front[lo - 1][0][1]:
+            lo -= 1
+        for i in range(hi - 1, -1, -1):
+            entry = front[i]
+            cmp = _compare_keys(entry[0], key)
+            if cmp == _EQ:
+                entry[1].extend(payload)
+                return
+            if cmp == _DOM:
+                return
+        front[lo:] = [[key, list(payload), _rounded(n0, den)]] + [
+            e for e in front[lo:] if _compare_keys(key, e[0]) != _DOM]
+        return
+    if hi:
+        entry = front[hi - 1]
         cmp = _compare_keys(entry[0], key)
         if cmp == _EQ:
             entry[1].extend(payload)
             return
         if cmp == _DOM:
             return
-        if planar:
-            break
-    if planar:
-        end = lo
-        while end < size and _compare_keys(key, front[end][0]) == _DOM:
-            end += 1
-        front[lo:end] = [[key, list(payload), _rounded(n0, den)]]
-    else:
-        front[lo:] = [[key, list(payload), _rounded(n0, den)]] + [
-            e for e in front[lo:] if _compare_keys(key, e[0]) != _DOM]
+        if entry[0][0][0] * den == n0 * entry[0][1]:
+            lo -= 1
+    end, size = lo, len(front)
+    while end < size and _compare_keys(key, front[end][0]) == _DOM:
+        end += 1
+    front[lo:end] = [[key, list(payload), _rounded(n0, den)]]
 
 
 def _ratio_key(objective):
@@ -301,28 +308,30 @@ def _pruned(front, ideal, nums, den, box):
     the line.  That bounds the entries there strictly below it too.  An
     ideal point raised to the bounds leaves out only infeasible
     completions."""
-    dims = len(ideal)
     n0, d0 = ideal[0]
     first = _upto(front, n0, d0) - 1
-    for (en, ed), _, _ in front[max(first, 0) if dims <= 2 else 0:first + 1]:
-        strict = False
-        for e, (n, d) in zip(en, ideal):
-            left = e * d
-            right = n * ed
-            if left > right:
-                break
-            strict = strict or left < right
-        else:
-            if strict:
-                return True
-    if dims != 2 or first < 0:
+    if len(ideal) != 2 or first < 0:
+        for (en, ed), _, _ in front[:first + 1]:
+            strict = False
+            for e, (n, d) in zip(en, ideal):
+                left = e * d
+                right = n * ed
+                if left > right:
+                    break
+                strict = strict or left < right
+            else:
+                if strict:
+                    return True
         return False
-    # last: the first entry whose r1 <= the ideal point's, as r1 falls
-    # while r0 rises.  Unless the entry first equals the ideal point, it
-    # was not dominating, so its r1 is above; if it equals, last == first
-    # and the test ends
+    (fn, fd), _, _ = front[first]
     n1, d1 = ideal[1]
-    last, hi = first, len(front)
+    left, right = fn[1] * d1, n1 * fd
+    if left <= right:
+        # it dominates the ideal point, or equals it, and ties never prune
+        return left < right or fn[0] * d0 < n0 * fd
+    # last: the first entry whose r1 <= the ideal point's, as r1 falls
+    # while r0 rises
+    last, hi = first + 1, len(front)
     while last < hi:
         mid = (last + hi) // 2
         mn, md = front[mid][0]
@@ -330,9 +339,9 @@ def _pruned(front, ideal, nums, den, box):
             last = mid + 1
         else:
             hi = mid
-    if last == first or last == len(front):
+    if last == len(front):
         return False
-    (fn, fd), (ln, ld) = front[first][0], front[last][0]
+    ln, ld = front[last][0]
     w0 = fn[1] * ld - ln[1] * fd
     w1 = ln[0] * fd - fn[0] * ld
     rows = [(w0 * a[0] + w1 * b[0], a[1], w0 * a[2] + w1 * b[2], a[3])
@@ -384,11 +393,14 @@ def _search(tables, base, tests, deadline):
     A child's ideal-point passes start at its parent's vertices, less the
     rows the parent's last passes picked for the threat just fixed: a
     vertex of the child's box, and most often already its minimum.
-    The last threat's digit runs as one flat row loop through _add_point,
-    lowest residue first, as every digit is tried.  A witness ordinal sums
-    each digit times its threat's place in the model's mixed-radix order,
-    so the ordinals, and the order solve sorts witnesses in, are those of
-    the flat pass whatever order the search branches in."""
+    A node with one threat left is tested by its parent (last_node), in the
+    order the stack would pop it: its box is a segment, so each bound's
+    maximum and each ideal component is the better of its two endpoints.
+    Its leaves then go through _add_point, lowest residue first, as every
+    digit is tried.  A witness ordinal sums each digit times its threat's
+    place in the model's mixed-radix order, so the ordinals, and the order
+    solve sorts witnesses in, are those of the flat pass whatever order the
+    search branches in."""
     dims = len(tables[0][0][0])
     n = len(tables)
     # places[i]: the mixed-radix place of threat i in the model's order
@@ -396,21 +408,55 @@ def _search(tables, base, tests, deadline):
     for i in range(n - 2, -1, -1):
         places[i] = places[i + 1] * len(tables[i + 1])
     order = _threat_order(tables)
-    tables = [tables[i] for i in order]
-    places = [places[i] for i in order]
+    # steps[k]: the rows of the k-th threat branched on, each with its
+    # digit's share of the ordinal, lowest residue first
+    steps = [[(*row, d * places[i]) for d, row in reversed(list(enumerate(tables[i])))]
+             for i in order]
     # box[k][s]: _extreme's rows of stakeholder s over threats k.., and the
-    # sums of their lo and of their hi rows; residues descend, so a table's
-    # last row is its lowest residue
+    # sums of their lo and of their hi rows
     box = []
     for k in range(n):
         per_s = []
         for s in range(dims):
-            rows = [(t[-1][0][s], t[-1][1], t[0][0][s], t[0][1]) for t in tables[k:]]
+            rows = [(t[0][0][s], t[0][1], t[-1][0][s], t[-1][1]) for t in steps[k:]]
             per_s.append((rows, (sum(r[0] for r in rows), sum(r[1] for r in rows)),
                           (sum(r[2] for r in rows), sum(r[3] for r in rows))))
         box.append(per_s)
+    # the sum of two keys' numerators, as a pair at once with two objectives
+    plus = ((lambda a, b: (a[0] + b[0], a[1] + b[1])) if dims == 2
+            else (lambda a, b: tuple(map(add, a, b))))
     add_point = _add_point  # looked up per call, so a replaced one is used
     front = []
+    ends = [rows[0] for rows, _, _ in box[-1]]
+
+    def last_node(nums, den, ordinal):
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout
+        ideal = []
+        for a, (ln, ld, hn, hd) in zip(nums, ends):
+            if (a + hn) * (den + ld) < (a + ln) * (den + hd):
+                ideal.append((a + hn, den + hd))
+            else:
+                ideal.append((a + ln, den + ld))
+        for si, p, q, e in tests:
+            a = nums[si]
+            ln, ld, hn, hd = ends[si]
+            if _fails(a + ln, den + ld, p, q, e) and _fails(a + hn, den + hd, p, q, e):
+                return
+            if ideal[si][0] * q < p * ideal[si][1]:
+                ideal[si] = (p, q)
+        if _pruned(front, ideal, nums, den, box[-1]):
+            return
+        for row_nums, row_den, step in steps[-1]:
+            leaf = plus(nums, row_nums)
+            leaf_den = den + row_den
+            if not tests or not any(_fails(leaf[si], leaf_den, p, q, e)
+                                    for si, p, q, e in tests):
+                add_point(front, (leaf, leaf_den), [ordinal + step])
+
+    if n == 1:
+        last_node((0,) * dims, base, 0)
+        return front
     stack = [(0, (0,) * dims, base, 0, [lo for _, lo, _ in box[0]])]
     while stack:
         k, nums, den, ordinal, starts = stack.pop()
@@ -427,28 +473,21 @@ def _search(tables, base, tests, deadline):
                 ideal[si] = (p, q)
         if _pruned(front, ideal, nums, den, box[k]):
             continue
-        table = tables[k]
-        place = places[k]
-        if k < n - 1:
-            starts = []
-            for a, (vn, vd), (rows, _, _) in zip(nums, vertices, box[k]):
-                ln, ld, hn, hd = rows[0]
-                if hn * vd > vn * hd:
-                    starts.append((vn - a - ln, vd - den - ld))
-                else:
-                    starts.append((vn - a - hn, vd - den - hd))
-            # pushed highest residue first, so the lowest is popped first
-            for d, (row_nums, row_den) in enumerate(table):
-                stack.append((k + 1, tuple(map(add, nums, row_nums)),
-                              den + row_den, ordinal + d * place, starts))
+        if k == n - 2:
+            for row_nums, row_den, step in steps[k]:
+                last_node(plus(nums, row_nums), den + row_den, ordinal + step)
             continue
-        for d in range(len(table) - 1, -1, -1):
-            row_nums, row_den = table[d]
-            leaf = tuple(map(add, nums, row_nums))
-            leaf_den = den + row_den
-            if not tests or not any(_fails(leaf[si], leaf_den, p, q, e)
-                                    for si, p, q, e in tests):
-                add_point(front, (leaf, leaf_den), [ordinal + d * place])
+        starts = []
+        for a, (vn, vd), (rows, _, _) in zip(nums, vertices, box[k]):
+            ln, ld, hn, hd = rows[0]
+            if hn * vd > vn * hd:
+                starts.append((vn - a - ln, vd - den - ld))
+            else:
+                starts.append((vn - a - hn, vd - den - hd))
+        # pushed highest residue first, so the lowest is popped first
+        for row_nums, row_den, step in reversed(steps[k]):
+            stack.append((k + 1, plus(nums, row_nums), den + row_den, ordinal + step,
+                          starts))
     return front
 
 

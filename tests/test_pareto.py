@@ -152,6 +152,22 @@ def test_extreme_from_any_vertex(rows, a, b, low, data):
     assert F(num, den) == best
 
 
+@pytest.mark.parametrize("entries, ideal, pruned", [
+    ([(1, 4), (2, 3), (4, 1)], [(4, 2), (6, 2)], False),
+    ([(1, 4), (2, 3), (4, 1)], [(3, 1), (3, 1)], True),
+    ([(1, 4), (2, 3), (4, 1)], [(2, 1), (7, 2)], True),
+    ([], [(2, 1), (3, 1)], False),
+], ids=["equal", "same-r1", "same-r0", "empty"])
+def test_pruned_by_one_entry(entries, ideal, pruned):
+    """With two objectives the ideal-point test reads one entry, the last
+    whose r0 is at most the ideal point's.  An entry equal to the ideal
+    point (here over another denominator) never prunes, as ties never do;
+    one below it in either component with the other tied does.  None of
+    these reaches the chord test, so the node's key and box are unused."""
+    culled = [[((a, b), 1), [], pareto._rounded(a, 1)] for a, b in entries]
+    assert pareto._pruned(culled, ideal, None, None, None) is pruned
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError, match="unknown mode"):
         SolveConfig(mode="nope")
@@ -300,23 +316,40 @@ def test_weak_pruning_shape_matches_flat_reference():
     assert solve(m, cfg) == front(evaluated_points(m, cfg))
 
 
-def _leaves(monkeypatch, m, cfg):
-    """The solve of m, and the number of leaves its search sends through
-    the culling step."""
+def _calls(monkeypatch, name):
+    """A list that grows by one item per call of pareto.<name> for the rest
+    of the test."""
     calls = []
-    add_point = pareto._add_point
+    target = getattr(pareto, name)
 
     def counted(*args):
         calls.append(None)
-        return add_point(*args)
+        return target(*args)
 
-    monkeypatch.setattr(pareto, "_add_point", counted)
+    monkeypatch.setattr(pareto, name, counted)
+    return calls
+
+
+def _leaves(monkeypatch, m, cfg):
+    """The solve of m, and the number of leaves its search sends through
+    the culling step."""
+    calls = _calls(monkeypatch, "_add_point")
     return solve(m, cfg), len(calls)
 
 
-@pytest.mark.parametrize("exclusive, leaves", [(False, 322), (True, 7723)])
+def _nodes(monkeypatch):
+    """A list that grows by one item per node the search tests against its
+    front (a call of pareto._pruned) for the rest of the test.  Pinned
+    beside the leaves, it shows a change of pruning that a change of the
+    work per node must not make."""
+    return _calls(monkeypatch, "_pruned")
+
+
+@pytest.mark.parametrize("exclusive, leaves, nodes",
+                         [(False, 322, 1180), (True, 7723, 3737)],
+                         ids=["False-322", "True-7723"])
 def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
-                                                exclusive, leaves):
+                                                exclusive, leaves, nodes):
     """Criterion 5, in the threat order of _threat_order: the ideal point
     raised to the bounds prunes subtrees the bare ideal point keeps (7,669
     leaves without the clip).  Every entry lies strictly above an exclusive
@@ -324,23 +357,53 @@ def test_bounded_search_prunes_on_clipped_ideal(monkeypatch, running_model,
     way."""
     cfg = SolveConfig(bounds={"DS": F(45, 100), "DC": F(55, 100)},
                       exclusive_bounds=exclusive)
+    tested = _nodes(monkeypatch)
     result, count = _leaves(monkeypatch, running_model, cfg)
     assert result == front(evaluated_points(running_model, cfg))
     assert count == leaves
+    assert len(tested) == nodes
 
 
-@pytest.mark.parametrize("threats, entries, leaves",
-                         [(6, 160, 1352), (7, 8, 1464), (16, 491, 47952)],
+@pytest.mark.parametrize("threats, entries, leaves, nodes",
+                         [(6, 160, 1352, 1321), (7, 8, 1464, 1145),
+                          (16, 491, 47952, 55569)],
                          ids=["goals-t6", "goals-c9", "t16"])
-def test_threat_order_cuts_the_goals_search(monkeypatch, threats, entries, leaves):
+def test_threat_order_cuts_the_goals_search(monkeypatch, threats, entries, leaves,
+                                            nodes):
     """Seed 9, q=4 in goals mode: the benchmark's goals instances, and |T|=16,
     whose 491-entry front gives the r0 search long bisects.  The search in
     model order sends 5,216 leaves through culling at |T|=6 and 344 at
     |T|=7; in the threat order of _threat_order 1,352 and 1,464."""
     m = gen_instance(BenchSpec(seed=9), threat_count=threats, controls_per_threat=4)
+    tested = _nodes(monkeypatch)
     result, count = _leaves(monkeypatch, m, SolveConfig(mode="goals"))
     assert len(result) == entries
     assert count == leaves
+    assert len(tested) == nodes
+
+
+@pytest.mark.parametrize("bounds", [None, False, True],
+                         ids=["unbounded", "inclusive", "exclusive"])
+@pytest.mark.parametrize("mode", ["criteria", "goals"])
+@pytest.mark.parametrize("stakeholders", [2, 3])
+@pytest.mark.parametrize("threats", [1, 2])
+def test_last_level_nodes(monkeypatch, threats, stakeholders, mode, bounds):
+    """A node with one threat left is tested by its parent, from the two
+    endpoints of its box.  With one threat the root is such a node; with two,
+    the root tests its children.  Bounds sit on the attained value below
+    each stakeholder's lowest third, so points tie with them."""
+    m = _instance(8, threats, 3, stakeholders=stakeholders)
+    cfg = SolveConfig(mode=mode)
+    if bounds is not None:
+        points = [obj for obj, _ in evaluated_points(m, cfg)]
+        values = [sorted({p[s] for p in points}) for s in range(stakeholders)]
+        cfg = SolveConfig(mode=mode, exclusive_bounds=bounds, bounds={
+            sid: v[len(v) // 3] for sid, v in zip(m.stakeholder_ids(), values)})
+    tested = _nodes(monkeypatch)
+    result = solve(m, cfg)
+    assert result == front(evaluated_points(m, cfg))
+    if bounds is None:
+        assert len(tested) == 1 if threats == 1 else len(tested) > 1
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(_SHAPES),
